@@ -11,11 +11,9 @@ from .characters import (
     DualGroupPresentation,
     GroupCharacter,
     InfeasibilityCertificate,
-    build_relation_matrix,
     dual_group,
     find_fundamental_symplectic_character,
     generator_characters,
-    is_character,
     vanishing_check,
 )
 from .families import BUILTIN_LIE, BUILTIN_SU, FamilyError, builtin_families, parse_family

@@ -1,13 +1,15 @@
-"""The dual of the fusion-supported grading group, as exact characters.
+"""The grading group of modular data and its characters, computed exactly.
 
-A function mu on labels valued in nonzero scalars belongs to the dual
-fundamental group when mu(i) mu(dual i) = 1 and mu(i) mu(j) mu(k) = 1 for
-every triple with a nonzero invariant space.  Writing values as rationals
-mod 1 (the exponent of e^{2 pi i x}) turns this into integer linear
-algebra: the group of such mu is the character group of the cokernel of
-the relation matrix whose rows are the fusion-supported triples and the
-dual pairs.  Everything here is exact — relation rows are integers,
-character values are :class:`fractions.Fraction` taken mod 1.
+The universal grading group U is the finest grading of the labels that
+fusion respects: a character of U is a function mu on labels with
+mu(i) mu(j) = mu(k) whenever N_ij^k > 0.  For modular data U is dual to
+the group G of invertible labels, those i with i (x) dual(i) simple
+(Gelaki-Nikshych, "Nilpotent fusion categories", 2008): every character
+of U is the monodromy charge i -> S_gi S_00 / (S_0g S_0i) of exactly one
+g in G.  :func:`dual_group` therefore reads only G's multiplication
+table and |G| rows of S, never the full fusion support.  Character
+values are rationals mod 1 (the exponent of e^{2 pi i x}), stored as
+:class:`fractions.Fraction`, so everything downstream is exact.
 
 The main consumer is :func:`find_fundamental_symplectic_character`, which
 looks for a character that is -1 exactly on the symplectic (self-dual,
@@ -19,7 +21,7 @@ targets do not, which any skeptical caller can re-verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -31,9 +33,7 @@ __all__ = [
     "GroupCharacter",
     "DualGroupPresentation",
     "InfeasibilityCertificate",
-    "build_relation_matrix",
     "dual_group",
-    "is_character",
     "generator_characters",
     "find_fundamental_symplectic_character",
     "vanishing_check",
@@ -69,18 +69,12 @@ class DualGroupPresentation:
     """Finite abelian presentation of the grading group with label images.
 
     invariant_factors : cyclic orders > 1, divisibility order.
-    label_image : label -> coordinates, one per invariant factor, then one
-        per free generator (expected none for modular data; `free_rank`
-        reports how many there are).
-    relation_rows : the deduplicated integer relation matrix, kept so that
-        characters can be tested exactly against the presentation.
+    label_image : label -> coordinates, one per invariant factor.
     """
 
     labels: tuple
     invariant_factors: tuple
     label_image: dict
-    free_rank: int
-    relation_rows: np.ndarray = field(repr=False)
 
     @property
     def torsion_order(self):
@@ -103,59 +97,6 @@ class InfeasibilityCertificate:
     target_sum: Fraction
 
 
-def build_relation_matrix(data, fusion):
-    """Integer relation rows: fusion-supported triples plus dual pairs.
-
-    A triple {i, j, k} with N_{ij}^{dual(k)} > 0 yields the row
-    e_i + e_j + e_k (with multiplicity for repeated labels); each pair
-    {i, dual(i)} yields e_i + e_{dual(i)}.  Rows are deduplicated and
-    returned in sorted order, so the matrix is independent of discovery
-    order.
-    """
-    n = data.n
-    dual = np.array([data.dual_index(i) for i in range(n)])
-    supp = np.argwhere(fusion.N > 0)  # N_{ij}^{m} > 0 gives the triple (i, j, dual m)
-    triples = np.zeros((len(supp), n), dtype=np.int64)
-    idx = np.arange(len(supp))
-    np.add.at(triples, (idx, supp[:, 0]), 1)
-    np.add.at(triples, (idx, supp[:, 1]), 1)
-    np.add.at(triples, (idx, dual[supp[:, 2]]), 1)
-    pairs = np.zeros((n, n), dtype=np.int64)
-    np.add.at(pairs, (np.arange(n), np.arange(n)), 1)
-    np.add.at(pairs, (np.arange(n), dual), 1)
-    return np.unique(np.vstack([triples, pairs]), axis=0)
-
-
-def _row_echelon_lattice_basis(rows):
-    """Integer basis (at most one row per column) of the row span of `rows`.
-
-    Euclidean elimination over Z: replacing a row by row - q*other or
-    swapping rows never changes the spanned lattice, so the result
-    generates exactly the same subgroup with far fewer generators.  Keeps
-    Smith-form input small when the relation matrix has thousands of rows.
-    """
-    n = rows.shape[1]
-    basis = {}
-    for row in rows:
-        row = row.copy()
-        while True:
-            support = np.nonzero(row)[0]
-            if support.size == 0:
-                break
-            col = int(support[0])
-            if row[col] < 0:
-                row = -row
-            have = basis.get(col)
-            if have is None:
-                basis[col] = row
-                break
-            row = row - (row[col] // have[col]) * have
-            if row[col] != 0:
-                basis[col], row = row, have  # gcd step: smaller pivot wins
-    out = [basis[c] for c in sorted(basis)]
-    return np.array(out, dtype=np.int64).reshape(len(out), n)
-
-
 def _smith(matrix):
     """(diag, left, right) of an integer matrix with diag = left @ m @ right."""
     from sympy import ZZ, Matrix
@@ -170,48 +111,47 @@ def _smith(matrix):
 
 
 def dual_group(data, fusion):
-    """Present the grading group as the cokernel of the relation matrix.
+    """Present the grading group as the dual of the group G of invertible labels.
 
-    The group is Z^labels modulo the lattice spanned by the relation rows;
-    Smith normal form of the transposed matrix gives the invariant factors
-    and the change of basis sending each label generator to its image.
-    The invariant factors are canonical; the images are canonical only up
-    to an automorphism of the group.
+    For modular data the universal grading group is dual to G
+    (Gelaki-Nikshych), and g in G acts on it as the character given by the
+    monodromy charge q_g(i) = S_gi S_00 / (S_0g S_0i).  A Smith form of
+    G's multiplication relations e_g + e_h - e_gh gives the invariant
+    factors d_j and a basis g_j of G; label i then has coordinates
+    d_j q_{g_j}(i) mod d_j.  The invariant factors are canonical; the
+    images are canonical only up to an automorphism of the group.
+
+    Raises :class:`InvalidModularData`, naming both labels, when a charge
+    of g_j is not a d_j-th root of unity within `data.tol`.
     """
-    rows = build_relation_matrix(data, fusion)
-    basis = _row_echelon_lattice_basis(rows)
-    cols = basis.T  # columns span the relation lattice inside Z^labels
-    snf, left, _right = _smith(cols)
-    n = data.n
-    diag = [abs(int(snf[i, i])) for i in range(min(snf.shape))]
-    rank = sum(1 for x in diag if x != 0)
-    free = n - rank
-    kept = [i for i, x in enumerate(diag) if x > 1]
-    factors = tuple(int(diag[i]) for i in kept)
-    image = {}
-    for j, lab in enumerate(data.labels):
-        tors = tuple(int(left[i, j]) % int(diag[i]) for i in kept)
-        frees = tuple(int(left[i, j]) for i in range(rank, n))
-        image[lab] = tors + frees
-    return DualGroupPresentation(
-        labels=data.labels,
-        invariant_factors=factors,
-        label_image=image,
-        free_rank=free,
-        relation_rows=rows,
-    )
-
-
-def is_character(pres, chi):
-    """Exact test: every relation row maps to 0 in Q/Z under `chi`."""
-    for row in pres.relation_rows:
-        total = Fraction(0)
-        for c, lab in zip(row, pres.labels):
-            if c:
-                total += int(c) * chi(lab)
-        if total % 1 != 0:
-            return False
-    return True
+    N = fusion.N
+    group = [g for g in range(data.n) if N[g, data.dual_index(g)].sum() == 1]
+    pos = {g: a for a, g in enumerate(group)}
+    rels = np.zeros((len(group) ** 2, len(group)), dtype=np.int64)
+    for r, (g, h) in enumerate(product(group, group)):
+        rels[r, pos[g]] += 1
+        rels[r, pos[h]] += 1
+        rels[r, pos[int(np.argmax(N[g, h]))]] -= 1  # g h is the one k with N_gh^k = 1
+    snf, left, _right = _smith(rels.T)
+    kept = [a for a in range(len(group)) if abs(int(snf[a, a])) > 1]
+    factors = tuple(abs(int(snf[a, a])) for a in kept)
+    by_coords = {tuple(int(left[a, pos[g]]) % d for a, d in zip(kept, factors)): g for g in group}
+    S, z = data.S, data.index(data.zero)
+    columns = []
+    for j, d in enumerate(factors):
+        g = by_coords[tuple(int(a == j) for a in range(len(factors)))]
+        charge = S[g] * S[z, z] / (S[z, g] * S[z])
+        k = np.round(np.angle(charge) * d / (2 * np.pi))
+        dev = np.abs(charge - np.exp(2j * np.pi * k / d))
+        i = int(np.argmax(dev))
+        if dev[i] > data.tol:
+            raise InvalidModularData(
+                f"monodromy charge of {data.labels[g]!r} on {data.labels[i]!r} is "
+                f"{complex(charge[i]):.6g}, not a {d}-th root of unity"
+            )
+        columns.append([int(x) % d for x in k])
+    image = {lab: tuple(col[i] for col in columns) for i, lab in enumerate(data.labels)}
+    return DualGroupPresentation(labels=data.labels, invariant_factors=factors, label_image=image)
 
 
 def _character_from_coords(pres, coords):
@@ -226,7 +166,7 @@ def _character_from_coords(pres, coords):
 
 
 def generator_characters(pres):
-    """One character per invariant factor (the dual basis of the torsion part)."""
+    """One character per invariant factor: the charge of basis element g_j of G."""
     out = []
     for j, d in enumerate(pres.invariant_factors):
         coords = [0] * len(pres.invariant_factors)
@@ -252,8 +192,7 @@ def find_fundamental_symplectic_character(data, fusion=None, pres=None):
     Enumerates the (small) character group of the torsion part, keeps the
     solutions and returns the one whose value tuple in label order is
     lexicographically smallest; with no symplectic labels this is the
-    identity.  If the free rank is positive the search is restricted to
-    the torsion quotient (reported via the presentation).  When no
+    identity.  When no
     character fits, an :class:`InfeasibilityCertificate` is constructed
     from the kernel lattice of the constraint map and verified before
     being returned.
@@ -265,13 +204,12 @@ def find_fundamental_symplectic_character(data, fusion=None, pres=None):
     if pres.torsion_order > _ENUM_CAP:
         raise ScaleLimit(f"character enumeration over order {pres.torsion_order} exceeds cap")
     targets = _indicator_targets(data, fusion)
-    nfac = len(pres.invariant_factors)
     best = None
     best_coords = None
     for coords in product(*[range(d) for d in pres.invariant_factors]):
         ok = True
         for lab, want in targets.items():
-            img = pres.label_image[lab][:nfac]
+            img = pres.label_image[lab]
             total = Fraction(0)
             for c, v, d in zip(coords, img, pres.invariant_factors):
                 total += Fraction(c * v, d)
@@ -281,7 +219,7 @@ def find_fundamental_symplectic_character(data, fusion=None, pres=None):
         if ok:
             key = tuple(
                 sum(
-                    (Fraction(c * v, d) for c, v, d in zip(coords, pres.label_image[lab][:nfac], pres.invariant_factors)),
+                    (Fraction(c * v, d) for c, v, d in zip(coords, pres.label_image[lab], pres.invariant_factors)),
                     Fraction(0),
                 )
                 % 1

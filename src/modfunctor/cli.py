@@ -238,7 +238,7 @@ def _cmd_characters(args, tol):
     machine = {
         "family": meta["family"],
         "invariant_factors": [int(x) for x in pres.invariant_factors],
-        "free_rank": pres.free_rank,
+        "free_rank": 0,  # modular data: the grading group is finite
         "torsion_order": pres.torsion_order,
         "generators": [_char_values(data, chi) for chi in gens],
         "fundamental_symplectic": None,
@@ -246,8 +246,7 @@ def _cmd_characters(args, tol):
     }
     lines = [
         f"family: {meta['family']}",
-        f"dual group: invariant factors {list(pres.invariant_factors) or '[]'}"
-        f", free rank {pres.free_rank}",
+        f"dual group: invariant factors {list(pres.invariant_factors) or '[]'}",
     ]
     for gi, chi in enumerate(gens):
         vals = ", ".join(f"{lab}:{chi(lab)}" for lab in data.labels)

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .characters import _smith
 from .modular_data import DEFAULT_TOL, InvalidModularData, ModularData, ScaleLimit
 
 __all__ = [
@@ -504,7 +505,6 @@ class LatticeGroup:
 
     invariant_factors: tuple
     _transform: tuple
-    _kept: tuple
 
     def project(self, weight):
         out = []
@@ -526,13 +526,9 @@ def lattice_fundamental_group(ld):
     Computed as the cokernel of the Cartan matrix (whose columns are the
     simple roots in weight coordinates) via Smith normal form.
     """
-    from sympy import ZZ, Matrix
-    from sympy.matrices.normalforms import smith_normal_decomp
-
-    A = Matrix(ld.cartan.tolist())
-    snf, left, _right = smith_normal_decomp(A, ZZ)
+    snf, left, _right = _smith(ld.cartan)
     diag = [abs(int(snf[i, i])) for i in range(ld.rank)]
     kept = [i for i, x in enumerate(diag) if x > 1]
     factors = tuple(diag[i] for i in kept)
     rows = tuple(tuple(int(left[i, j]) for j in range(ld.rank)) for i in kept)
-    return LatticeGroup(invariant_factors=factors, _transform=rows, _kept=tuple(kept))
+    return LatticeGroup(invariant_factors=factors, _transform=rows)

@@ -7,9 +7,10 @@ state-space dimensions, character groups, scaling solvers) is computed
 from these four pieces of data.
 
 Construction performs *structural* checks only (shapes, bijectivity,
-label consistency) and raises :class:`InvalidModularData` on failure.
-Numeric axioms — symmetry and invertibility of S, involutivity of the
-dual map, twist/dimension duality symmetry — are checked separately by
+label consistency, finite entries) and raises :class:`InvalidModularData`
+on failure.  Numeric axioms — symmetry and unitarity of S,
+involutivity of the dual map, twist/dimension duality symmetry, and the
+modular relations S^2 = C and (ST)^3 = (p+/D) S^2 — are checked separately by
 :func:`validate_modular_data`, which returns a report instead of raising,
 so callers can inspect partially broken data.
 """
@@ -108,9 +109,16 @@ class ModularData:
         n = len(labels)
         if S.shape != (n, n):
             raise InvalidModularData(f"S must be {n}x{n}, got {S.shape}")
+        bad = np.argwhere(~np.isfinite(S))
+        if len(bad):
+            a, b = bad[0]
+            raise InvalidModularData(f"S[{a}][{b}] is not finite: {S[a, b]}")
         theta = {str(a): complex(v) for a, v in dict(theta).items()}
         if set(theta) != set(labels):
             raise InvalidModularData("theta must be defined on exactly the label set")
+        for a in labels:
+            if not cmath.isfinite(theta[a]):
+                raise InvalidModularData(f"theta[{a!r}] is not finite: {theta[a]}")
         if not (tol > 0):
             raise InvalidModularData("tol must be positive")
         S = S.copy()
@@ -184,19 +192,20 @@ def validate_modular_data(data):
     """Run the numeric axiom checks and return a :class:`ValidationReport`.
 
     Checks (report entry names in parentheses): S symmetric ("S-symmetry"),
-    S invertible within tolerance ("S-invertibility"), dual an involution
-    ("dual-involution") fixing the unit ("dual-zero"), theta(0) = 1
-    ("theta-zero"), theta(dual(i)) = theta(i) ("theta-dual") and
-    dim(dual(i)) = dim(i) ("dim-dual").
+    dual an involution ("dual-involution") fixing the unit ("dual-zero"),
+    theta(0) = 1 ("theta-zero"), theta(dual(i)) = theta(i) ("theta-dual"),
+    dim(dual(i)) = dim(i) ("dim-dual"), and the modular relations, whose
+    detail is the measured deviation: S unitary ("S-unitarity", which also
+    makes S invertible), S^2 = C with C the duality permutation
+    ("S-squared"), |theta| = 1 ("theta-modulus") and (ST)^3 = (p+/D) S^2
+    with p+ = sum_i theta_i dim(i)^2 ("ST-cubed"; Bakalov-Kirillov,
+    *Lectures on tensor categories and modular functors*).
     """
     report = ValidationReport()
     S, tol = data.S, data.tol
     asym = float(np.max(np.abs(S - S.T)))
     if asym > tol:
         report.add("S-symmetry", asym)
-    smin = float(np.linalg.svd(S, compute_uv=False)[-1])
-    if smin <= tol * max(1.0, float(np.max(np.abs(S)))):
-        report.add("S-invertibility", smin)
     bad = [a for a in data.labels if data.dual[data.dual[a]] != a]
     if bad:
         report.add("dual-involution", bad)
@@ -211,6 +220,22 @@ def validate_modular_data(data):
     bad = [a for i, a in enumerate(data.labels) if abs(dims[data.dual_index(i)] - dims[i]) > tol]
     if bad:
         report.add("dim-dual", bad)
+    n = data.n
+    C = np.zeros((n, n))
+    C[np.arange(n), [data.dual_index(i) for i in range(n)]] = 1
+    th = np.array([data.theta[a] for a in data.labels])
+    ST, S2 = S * th, S @ S
+    modulus = float(np.max(np.abs(np.abs(th) - 1)))
+    if modulus > tol:
+        report.add("theta-modulus", modulus)
+    for name, residual in (
+        ("S-unitarity", S @ S.conj().T - np.eye(n)),
+        ("S-squared", S2 - C),
+        ("ST-cubed", ST @ ST @ ST - gauss_sum_delta(data, conjugate=True) / global_D(data) * S2),
+    ):
+        dev = float(np.max(np.abs(residual)))
+        if dev > tol:
+            report.add(name, dev)
     return report
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 import modfunctor as mf
+from modfunctor.families import BUILTIN_LIE, BUILTIN_SU
 
 _DATA_CACHE = {}
 _FUSION_CACHE = {}
@@ -15,6 +16,13 @@ def get_family(*tokens):
         data, _meta = mf.parse_family(key)
         _DATA_CACHE[key] = data
     return _DATA_CACHE[key]
+
+
+def builtin_tokens():
+    """Family tokens of the 33 built-in families, su first."""
+    out = [("su", N, k) for N, k in BUILTIN_SU]
+    out += [("lie", t, r, level) for t, r, level in BUILTIN_LIE]
+    return out
 
 
 def get_fusion(data):

@@ -11,10 +11,10 @@ from fractions import Fraction
 import numpy as np
 
 import modfunctor as mf
-from modfunctor.families import BUILTIN_LIE, BUILTIN_SU
 from modfunctor.scaling import ScalingPair, SelfDualityData
 from modfunctor.surfaces import Component, MarkedPoint, Surface
-from conftest import get_family, get_fusion
+from conftest import builtin_tokens, get_family, get_fusion
+from grading_oracle import is_character, oracle_group
 
 
 def _emit(capsys, tag, ok, detail):
@@ -22,12 +22,6 @@ def _emit(capsys, tag, ok, detail):
     with capsys.disabled():
         print(line)
     assert ok, line
-
-
-def _builtin_tokens():
-    out = [("su", N, k) for N, k in BUILTIN_SU]
-    out += [("lie", t, r, level) for t, r, level in BUILTIN_LIE]
-    return out
 
 
 def _mu_tilde_character(data, N):
@@ -65,7 +59,7 @@ def test_ac01_fusion_integrality_and_identities(capsys):
 def test_ac02_puncture_dims_and_gluing(capsys):
     ok = True
     fam_count = 0
-    for tokens in _builtin_tokens():
+    for tokens in builtin_tokens():
         data = get_family(*tokens)
         fusion = get_fusion(data)
         for lab in data.labels:
@@ -153,15 +147,24 @@ def test_ac04_grading_groups(capsys):
     for N in (2, 3, 4):
         for k in range(1, 6):
             data = get_family("su", N, k)
-            fusion = get_fusion(data)
-            pres = mf.dual_group(data, fusion)
-            ok = ok and pres.invariant_factors == (N,)
-            ok = ok and mf.is_character(pres, _mu_tilde_character(data, N))
+            rows = oracle_group(data, get_fusion(data))[2]
+            ok = ok and is_character(rows, data.labels, _mu_tilde_character(data, N))
+    checked = 0
+    for tokens in builtin_tokens() + [("lie", "D", 4, 1)]:
+        data = get_family(*tokens)
+        fusion = get_fusion(data)
+        pres = mf.dual_group(data, fusion)
+        factors, free, rows = oracle_group(data, fusion)
+        ok = ok and (pres.invariant_factors, free) == (factors, 0)
+        if tokens[0] == "su":
+            ok = ok and pres.invariant_factors == (tokens[1],)
+        ok = ok and all(is_character(rows, data.labels, chi) for chi in mf.generator_characters(pres))
+        checked += 1
     d4 = get_family("lie", "D", 4, 1)
-    pres4 = mf.dual_group(d4, get_fusion(d4))
-    ok = ok and pres4.invariant_factors == (2, 2)
+    ok = ok and mf.dual_group(d4, get_fusion(d4)).invariant_factors == (2, 2)
     _emit(capsys, "AC4 grading groups + residue characters", ok,
-          "15 cyclic families, one rank-2 elementary 2-group")
+          f"{checked} families agree with the fusion-support oracle, "
+          "15 cyclic su families, one rank-2 elementary 2-group")
 
 
 def test_ac05_frobenius_schur_pattern(capsys):
@@ -198,7 +201,7 @@ def test_ac06_coupon_sign(capsys):
 
 def test_ac07_canonical_scaling(capsys):
     worst_res = worst_sign = worst_z = 0.0
-    toks = _builtin_tokens()
+    toks = builtin_tokens()
     solved = {}
     for tokens in toks:
         data = get_family(*tokens)
@@ -228,7 +231,7 @@ def test_ac07_canonical_scaling(capsys):
 def test_ac08_strict_scaling(capsys):
     worst1 = worst2 = 0.0
     ok = True
-    for tokens in _builtin_tokens():
+    for tokens in builtin_tokens():
         data = get_family(*tokens)
         fusion = get_fusion(data)
         sdd = SelfDualityData.defaults(data, fusion)

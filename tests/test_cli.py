@@ -110,6 +110,28 @@ def test_export_round_trip(tmp_path):
     assert code2 == 0
 
 
+def _load_corrupted_su22(tmp_path, corrupt):
+    code, report = run_command(["export", "su", "2", "2"])
+    assert code == 0
+    doc = json.loads(report.human)
+    corrupt(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    return run_command(["info", "file", str(path)])
+
+
+def test_info_rejects_nan_in_s(tmp_path):
+    code, report = _load_corrupted_su22(tmp_path, lambda doc: doc["S"][0].__setitem__(1, [float("nan"), 0.0]))
+    assert code == 2
+    assert "S[0][1]" in report.machine["error"]
+
+
+def test_info_rejects_infinite_twist(tmp_path):
+    code, report = _load_corrupted_su22(tmp_path, lambda doc: doc["theta"].__setitem__("1", [float("inf"), 0.0]))
+    assert code == 2
+    assert "theta['1']" in report.machine["error"]
+
+
 def test_mf_tol_env(monkeypatch):
     monkeypatch.setenv("MF_TOL", "abc")
     code, report = run_command(["info", "su", "2", "1"])

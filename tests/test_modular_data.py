@@ -81,6 +81,33 @@ def test_validate_flags_bad_theta(su22):
     assert "theta-zero" in report.violations
 
 
+def test_validate_flags_nonunitary_s(su22):
+    report = mf.validate_modular_data(_rebuild(su22, S=su22.S * 1.01))
+    assert "S-unitarity" in report.violations
+
+
+def test_validate_flags_s_squared(su22):
+    # i*S stays symmetric and unitary, but squares to -C
+    report = mf.validate_modular_data(_rebuild(su22, S=su22.S * 1j))
+    assert "S-squared" in report.violations
+
+
+def test_validate_flags_twist_modulus(su22):
+    theta = dict(su22.theta)
+    theta["1"] *= 1.01
+    report = mf.validate_modular_data(_rebuild(su22, theta=theta))
+    assert "theta-modulus" in report.violations
+
+
+def test_validate_flags_st_cubed(su22):
+    # a unit-modulus twist with the wrong phase breaks only (ST)^3 = (p+/D) S^2;
+    # label "2" is bent because S_11 = 0 leaves (ST)^3 blind to theta_1
+    theta = dict(su22.theta)
+    theta["2"] *= np.exp(0.1j)
+    report = mf.validate_modular_data(_rebuild(su22, theta=theta))
+    assert report.violations == ["ST-cubed"]
+
+
 def test_constructor_rejects_structural_garbage(su22):
     with pytest.raises(mf.InvalidModularData):
         _rebuild(su22, zero="9")
