@@ -175,13 +175,13 @@ def generator_characters(pres):
     return out
 
 
-def _indicator_targets(data, fusion):
+def _indicator_targets(data):
     """Required character values on self-dual labels: 1/2 on symplectic, 0 otherwise."""
     targets = {}
     for i, lab in enumerate(data.labels):
         if data.dual_index(i) != i:
             continue
-        nu = fs_indicator(data, lab, fusion)
+        nu = fs_indicator(data, lab)
         targets[lab] = Fraction(1, 2) if nu == -1 else Fraction(0)
     return targets
 
@@ -203,7 +203,7 @@ def find_fundamental_symplectic_character(data, fusion=None, pres=None):
         pres = dual_group(data, fusion)
     if pres.torsion_order > _ENUM_CAP:
         raise ScaleLimit(f"character enumeration over order {pres.torsion_order} exceeds cap")
-    targets = _indicator_targets(data, fusion)
+    targets = _indicator_targets(data)
     best = None
     best_coords = None
     for coords in product(*[range(d) for d in pres.invariant_factors]):

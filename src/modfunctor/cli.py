@@ -166,7 +166,6 @@ def _tolerance():
 
 def _cmd_info(args, tol):
     data, meta = parse_family(args.family, tol=tol)
-    fusion = verlinde_fusion(data)
     D = global_D(data)
     delta = gauss_sum_delta(data)
     rows = []
@@ -174,7 +173,7 @@ def _cmd_info(args, tol):
     machine_fs = {}
     for lab in data.labels:
         d = quantum_dim(data, lab)
-        nu = fs_indicator(data, lab, fusion)
+        nu = fs_indicator(data, lab)
         machine_dims[lab] = _cpair(d)
         machine_fs[lab] = nu
         rows.append(
@@ -270,9 +269,9 @@ def _cmd_characters(args, tol):
 
 def _cmd_scaling(args, tol):
     data, meta = parse_family(args.family, tol=tol)
-    fusion = verlinde_fusion(data)
-    sdd = SelfDualityData.defaults(data, fusion)
+    sdd = SelfDualityData.defaults(data)
     if args.mode == "strict":
+        fusion = verlinde_fusion(data)
         pres = dual_group(data, fusion)
         found = find_fundamental_symplectic_character(data, fusion, pres)
         if hasattr(found, "coefficients"):
@@ -328,7 +327,7 @@ def _cmd_scaling(args, tol):
     return (0 if ok else 1), Report(machine, "\n".join(lines))
 
 
-def _verify_family(name, data):
+def _verify_family(data):
     """Invariant suite for one family; returns {check name: bool}."""
     checks = {}
     checks["axioms"] = validate_modular_data(data).ok
@@ -364,8 +363,7 @@ def _verify_family(name, data):
     checks["gauss-modulus"] = abs(abs(gauss_sum_delta(data)) - global_D(data).real) < 1e-6 * max(
         1.0, global_D(data).real
     )
-    sdd = SelfDualityData.defaults(data, fusion)
-    sp = solve_canonical(data, sdd)
+    sp = solve_canonical(data, SelfDualityData.defaults(data))
     residual = max(
         abs(sp.u[lab] - s_factor(data, sp, lab) * sp.w[lab]) for lab in data.labels
     )
@@ -401,17 +399,21 @@ def _verify_family(name, data):
 
 def _cmd_verify(args, tol):
     if args.all:
-        fams = list(builtin_families(tol=tol))
+        fams = [(name, _verify_family(data)) for name, data in builtin_families(tol=tol)]
     elif args.family:
-        data, meta = parse_family(args.family, tol=tol)
-        fams = [(meta["family"], data)]
+        try:
+            data, meta = parse_family(args.family, tol=tol)
+        except ValidationFailure as exc:  # loading a file checks the axioms: report them
+            failed = ["axioms", *exc.report.violations]
+            fams = [(" ".join(args.family), dict.fromkeys(failed, False))]
+        else:
+            fams = [(meta["family"], _verify_family(data))]
     else:
         raise UsageError("verify: give family tokens or --all")
     results = {}
     all_ok = True
     lines = []
-    for name, data in fams:
-        checks = _verify_family(name, data)
+    for name, checks in fams:
         ok = all(checks.values())
         all_ok = all_ok and ok
         results[name] = {"checks": checks, "ok": ok}

@@ -89,13 +89,11 @@ def parse_family(tokens, tol=None):
     raise FamilyError(f"unknown family kind {tokens[0]!r}; expected su, lie or file")
 
 
-def builtin_families(tol=None, su_max_level=5, lie_max_level=2):
+def builtin_families(tol=None):
     """Yield (name, ModularData) over the built-in verification set."""
     for N, k in BUILTIN_SU:
-        if k <= su_max_level:
-            data, meta = parse_family(["su", N, k], tol=tol)
-            yield meta["family"], data
+        data, meta = parse_family(["su", N, k], tol=tol)
+        yield meta["family"], data
     for cartan_type, rank, level in BUILTIN_LIE:
-        if level <= lie_max_level:
-            data, meta = parse_family(["lie", cartan_type, rank, level], tol=tol)
-            yield meta["family"], data
+        data, meta = parse_family(["lie", cartan_type, rank, level], tol=tol)
+        yield meta["family"], data

@@ -22,7 +22,7 @@ import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .modular_data import InvalidModularData, global_D, quantum_dim
+from .modular_data import InvalidModularData, fs_indicator, global_D, quantum_dim
 
 __all__ = [
     "ScalingPair",
@@ -55,27 +55,19 @@ class SelfDualityData:
     """Base self-duality signs mu(i) and duality-loop scalars lambda(i).
 
     Defaults: mu is the self-duality indicator on self-dual labels and +1
-    on non-self-dual ones; lambda is identically 1.  Both can be overridden
-    entry-wise.
+    on non-self-dual ones; lambda is identically 1.
     """
 
     mu: dict
     lam: dict
 
     @classmethod
-    def defaults(cls, data, fusion=None, mu=None, lam=None):
-        from .modular_data import fs_indicator, verlinde_fusion
-
-        if mu is None:
-            if fusion is None:
-                fusion = verlinde_fusion(data)
-            mu = {}
-            for i, lab in enumerate(data.labels):
-                nu = fs_indicator(data, lab, fusion)
-                mu[lab] = complex(nu) if nu != 0 else 1.0 + 0j
-        if lam is None:
-            lam = {lab: 1.0 + 0j for lab in data.labels}
-        return cls(mu=dict(mu), lam=dict(lam))
+    def defaults(cls, data):
+        mu = {}
+        for lab in data.labels:
+            nu = fs_indicator(data, lab)
+            mu[lab] = complex(nu) if nu != 0 else 1.0 + 0j
+        return cls(mu=mu, lam={lab: 1.0 + 0j for lab in data.labels})
 
 
 @dataclass

@@ -9,19 +9,20 @@ dual-labeled points (same component: genus + 1; distinct components:
 merge) and its inverse, cutting along a curve.
 
 State-space dimensions are computed two independent ways: the
-pair-of-pants recursion over the integer fusion tensor
-(:func:`state_dim`), and the closed-form character sum over the S-matrix
-(:func:`state_dim_verlinde`).  Valid data makes them agree exactly.
+pair-of-pants recursion in integers (:func:`state_dim`), and the
+closed-form character sum over the S-matrix (:func:`state_dim_verlinde`).
+Valid data makes them agree exactly.  The recursion applies one fusion
+tensor slice per point and ``FusionTensor.handle`` once per genus; H_{xy}
+is the dimension of the torus with points labeled x and dual(y).
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .modular_data import InvalidModularData
+from .modular_data import InvalidModularData, _integer_tolerance
 
 __all__ = [
     "MarkedPoint",
@@ -211,42 +212,23 @@ def factorize(a, component, label, dual, mode="nonseparating", genus_split=None,
     return Surface(tuple(comps), a.weight)
 
 
-_MATRIX_CACHE = weakref.WeakKeyDictionary()
-
-
-def _fusion_matrices(data, fusion):
-    """Right-multiplication matrices (M_j)_{xy} = N_{xj}^y and the handle operator."""
-    cached = _MATRIX_CACHE.get(fusion)
-    if cached is not None:
-        return cached
-    N = fusion.N
-    mats = [np.ascontiguousarray(N[:, j, :]) for j in range(data.n)]
-    handle = sum(mats[j] @ mats[data.dual_index(j)] for j in range(data.n))
-    _MATRIX_CACHE[fusion] = (mats, handle)
-    return mats, handle
-
-
 def _component_dim(data, fusion, genus, labels):
     """Invariant-space dimension of one component by the fusion recursion.
 
     Realizes dim(0; i) = [i = 0], dim(0; i, j) = [j = dual(i)],
     dim(0; i_1..i_n) = sum_x N_{i_1 i_2}^x dim(0; x, i_3..),
     dim(g; L) = sum_x dim(g-1; L + (x, dual x)), reassociated into a chain
-    of fusion matrices followed by handle-operator powers, all in integers.
+    of fusion matrices (M_j)_{xy} = N_{xj}^y followed by powers of the
+    handle operator H = sum_j M_j M_{j*}, all in integers.
     """
-    mats, handle = _fusion_matrices(data, fusion)
     idx = [data.index(l) for l in labels]
     z = data.index(data.zero)
-    if idx:
-        v = np.zeros(data.n, dtype=np.int64)
-        v[idx[0]] = 1
-        for j in idx[1:]:
-            v = v @ mats[j]
-    else:
-        v = np.zeros(data.n, dtype=np.int64)
-        v[z] = 1
+    v = np.zeros(data.n, dtype=np.int64)
+    v[idx[0] if idx else z] = 1
+    for j in idx[1:]:
+        v = v @ fusion.N[:, j, :]
     for _ in range(genus):
-        v = v @ handle
+        v = v @ fusion.handle
     return int(v[z])
 
 
@@ -276,10 +258,7 @@ def state_dim_verlinde(data, a, atol=None):
             term = term * data.S[data.index(p.label), :]
         val = complex(np.sum(term))
         nearest = round(val.real)
-        # Absolute float error scales with the term magnitudes, which for
-        # negative S_{0r} powers dwarf the integer result.
-        scale = float(np.sum(np.abs(term)))
-        if abs(val - nearest) > min(max(atol, 5e-12 * scale), 0.45):
+        if abs(val - nearest) > _integer_tolerance(atol, float(np.sum(np.abs(term)))):
             raise InvalidModularData(f"character sum {val} is not an integer within tolerance")
         out *= int(nearest)
     return out

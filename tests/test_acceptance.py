@@ -173,9 +173,8 @@ def test_ac05_frobenius_schur_pattern(capsys):
     for N in (2, 3, 4):
         for k in range(1, 6):
             data = get_family("su", N, k)
-            fusion = get_fusion(data)
             for lab in data.labels:
-                nu = mf.fs_indicator(data, lab, fusion)
+                nu = mf.fs_indicator(data, lab)
                 if data.dual[lab] != lab:
                     want = 0
                 elif N == 3:
@@ -205,7 +204,7 @@ def test_ac07_canonical_scaling(capsys):
     solved = {}
     for tokens in toks:
         data = get_family(*tokens)
-        sdd = SelfDualityData.defaults(data, get_fusion(data))
+        sdd = SelfDualityData.defaults(data)
         sp = mf.solve_canonical(data, sdd)
         solved[tokens] = (data, sdd, sp)
         for lab in data.labels:
@@ -234,7 +233,7 @@ def test_ac08_strict_scaling(capsys):
     for tokens in builtin_tokens():
         data = get_family(*tokens)
         fusion = get_fusion(data)
-        sdd = SelfDualityData.defaults(data, fusion)
+        sdd = SelfDualityData.defaults(data)
         found = mf.find_fundamental_symplectic_character(data, fusion)
         if not isinstance(found, mf.GroupCharacter):
             ok = False
@@ -251,7 +250,7 @@ def test_ac08_strict_scaling(capsys):
     for tokens, use_mu_tilde in ((("su", 2, 3), False), (("su", 3, 2), True)):
         data = get_family(*tokens)
         fusion = get_fusion(data)
-        sdd = SelfDualityData.defaults(data, fusion)
+        sdd = SelfDualityData.defaults(data)
         if use_mu_tilde:
             chi = _mu_tilde_character(data, 3)
         else:

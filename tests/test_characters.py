@@ -140,10 +140,9 @@ def test_find_su23_symplectic_character(su23):
         "3": Fraction(1, 2),
     }
     # the odd labels are exactly the symplectic ones
-    fusion = get_fusion(su23)
     want = {"0": 1, "1": -1, "2": 1, "3": -1}
     for lab, nu in want.items():
-        assert mf.fs_indicator(su23, lab, fusion) == nu
+        assert mf.fs_indicator(su23, lab) == nu
 
 
 def test_find_with_no_symplectic_labels_returns_identity(su32, fib):

@@ -1,10 +1,12 @@
 """CLI surface: parsing, subcommands, exit codes, JSON output."""
 
+import cmath
 import json
 
 import pytest
 
 import modfunctor as mf
+from modfunctor import cli, modular_data
 from modfunctor.cli import UsageError, main, parse_surface_literal, run_command
 from conftest import get_family
 
@@ -130,6 +132,46 @@ def test_info_rejects_infinite_twist(tmp_path):
     code, report = _load_corrupted_su22(tmp_path, lambda doc: doc["theta"].__setitem__("1", [float("inf"), 0.0]))
     assert code == 2
     assert "theta['1']" in report.machine["error"]
+
+
+def test_nonintegral_fusion_is_input_error(monkeypatch):
+    monkeypatch.setenv("MF_TOL", "1e-20")
+    code, report = run_command(["dims", "su", "2", "2", "--surface", "g=1[]"])
+    assert code == 2
+    assert "fusion coefficients deviate from integers" in report.machine["error"]
+
+
+def test_verify_reports_nonintegral_fusion(monkeypatch):
+    monkeypatch.setenv("MF_TOL", "1e-20")
+    code, report = run_command(["verify", "su", "2", "2"])
+    assert code == 1
+    assert report.machine["families"]["su 2 2"]["checks"]["fusion-integral"] is False
+
+
+def test_verify_file_failing_validation_fails_checks(tmp_path):
+    code, report = run_command(["export", "su", "2", "2"])
+    doc = json.loads(report.human)
+    turned = complex(*doc["theta"]["2"]) * cmath.exp(0.1j)
+    doc["theta"]["2"] = [turned.real, turned.imag]
+    path = tmp_path / "turned.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_command(["verify", "file", str(path)])
+    assert code == 1
+    assert report.machine["families"][f"file {path}"]["checks"]["ST-cubed"] is False
+    assert "failed: ST-cubed" in report.human
+    code, report = run_command(["info", "file", str(path)])
+    assert code == 2
+    assert "ST-cubed" in report.machine["error"]
+
+
+def test_info_and_canonical_scaling_build_no_fusion_tensor(monkeypatch):
+    def refuse(data, atol=None):
+        raise AssertionError("verlinde_fusion called")
+
+    monkeypatch.setattr(cli, "verlinde_fusion", refuse)
+    monkeypatch.setattr(modular_data, "verlinde_fusion", refuse)
+    assert run_command(["info", "su", "4", "5"])[0] == 0
+    assert run_command(["scaling", "su", "4", "5", "--mode", "canonical"])[0] == 0
 
 
 def test_mf_tol_env(monkeypatch):

@@ -149,8 +149,7 @@ def test_d4_level1_three_fermion_structure():
         assert data.dual[lab] == lab  # every label self-dual
         want = 1.0 if lab == data.zero else -1.0
         assert abs(data.theta[lab] - want) < 1e-12
-    fusion = get_fusion(data)
-    assert all(mf.fs_indicator(data, lab, fusion) == 1 for lab in data.labels)
+    assert all(mf.fs_indicator(data, lab) == 1 for lab in data.labels)
 
 
 def test_a_series_matches_partition_model():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import modfunctor as mf
-from conftest import get_family, get_fusion
+from conftest import builtin_tokens, get_family, get_fusion
 
 SQ2 = math.sqrt(2.0)
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -153,19 +153,52 @@ def test_verlinde_rejects_corrupt_s(su22):
         mf.verlinde_fusion(bad)
 
 
+def handle_oracle(data, fusion):
+    """Handle operator by the integer route: sum_j N_j N_{j*}, (N_j)_{xy} = N_{xj}^y."""
+    N = fusion.N
+    return sum(N[:, j, :] @ N[:, data.dual_index(j), :] for j in range(data.n))
+
+
+def indicator_oracle(data, fusion, i):
+    """Indicator by the tensor sum D^{-2} sum_{j,k} N_{jk}^i d_j d_k (theta_j/theta_k)^2."""
+    dims = mf.quantum_dims(data)
+    th = np.array([data.theta[a] for a in data.labels])
+    ratio2 = np.outer(th, 1.0 / th) ** 2
+    total = np.sum(fusion.N[:, :, data.index(i)] * np.outer(dims, dims) * ratio2)
+    return complex(total / np.sum(dims**2))
+
+
+ORACLE_FAMILIES = builtin_tokens() + [("lie", "D", 4, 1)]
+
+
+@pytest.mark.parametrize("tokens", ORACLE_FAMILIES, ids=lambda t: " ".join(map(str, t)))
+def test_handle_matches_integer_oracle(tokens):
+    data = get_family(*tokens)
+    fusion = get_fusion(data)
+    assert fusion.handle.dtype == np.int64
+    assert np.array_equal(fusion.handle, handle_oracle(data, fusion))
+
+
+@pytest.mark.parametrize("tokens", ORACLE_FAMILIES, ids=lambda t: " ".join(map(str, t)))
+def test_fs_indicator_matches_tensor_oracle(tokens):
+    data = get_family(*tokens)
+    fusion = get_fusion(data)
+    for lab in data.labels:
+        want = indicator_oracle(data, fusion, lab)
+        assert abs(want - round(want.real)) < 1e-9
+        assert mf.fs_indicator(data, lab) == round(want.real)
+
+
 def test_fs_indicator_small_families(su22, su31):
-    f22 = get_fusion(su22)
-    assert [mf.fs_indicator(su22, lab, f22) for lab in su22.labels] == [1, -1, 1]
-    f31 = get_fusion(su31)
+    assert [mf.fs_indicator(su22, lab) for lab in su22.labels] == [1, -1, 1]
     # only the unit is self-dual in the rank-3 level-1 family
-    assert mf.fs_indicator(su31, "0", f31) == 1
-    assert mf.fs_indicator(su31, "1", f31) == 0
-    assert mf.fs_indicator(su31, "1.1", f31) == 0
+    assert mf.fs_indicator(su31, "0") == 1
+    assert mf.fs_indicator(su31, "1") == 0
+    assert mf.fs_indicator(su31, "1.1") == 0
 
 
 def test_fs_indicator_fibonacci(fib):
-    fusion = get_fusion(fib)
-    assert [mf.fs_indicator(fib, lab, fusion) for lab in fib.labels] == [1, 1]
+    assert [mf.fs_indicator(fib, lab) for lab in fib.labels] == [1, 1]
 
 
 def test_gauss_sum_modulus_matches_global_rank():

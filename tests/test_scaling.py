@@ -89,11 +89,11 @@ def test_telescoping_distinct_components(su31):
 
 
 def test_mu_scaled(su22, su31):
-    sdd = SelfDualityData.defaults(su22, get_fusion(su22))
+    sdd = SelfDualityData.defaults(su22)
     sp = ones(su22)
     # all labels self-dual: scaling cannot move the sign
     assert mu_list(su22, sdd, sp) == [1, -1, 1]
-    sdd3 = SelfDualityData.defaults(su31, get_fusion(su31))
+    sdd3 = SelfDualityData.defaults(su31)
     sp3 = ones(su31)
     sp3.w["1"] = 2.0 + 0j
     sp3.w["1.1"] = 0.5 + 0j
@@ -106,7 +106,7 @@ def mu_list(data, sdd, sp):
 
 
 def test_solve_canonical_values(su22):
-    sdd = SelfDualityData.defaults(su22, get_fusion(su22))
+    sdd = SelfDualityData.defaults(su22)
     sp = mf.solve_canonical(su22, sdd)
     assert all(abs(w - 1.0) < 1e-14 for w in sp.w.values())
     assert abs(sp.u["0"] - 1.0) < 1e-14
@@ -121,7 +121,7 @@ def test_solve_canonical_residuals():
     for tokens in (("su", 2, 2), ("su", 2, 3), ("su", 3, 1), ("su", 4, 2),
                    ("lie", "G", 2, 1), ("lie", "B", 2, 2)):
         data = get_family(*tokens)
-        sdd = SelfDualityData.defaults(data, get_fusion(data))
+        sdd = SelfDualityData.defaults(data)
         sp = mf.solve_canonical(data, sdd)
         for lab in data.labels:
             res = abs(sp.u[lab] - mf.s_factor(data, sp, lab) * sp.w[lab])
@@ -129,7 +129,7 @@ def test_solve_canonical_residuals():
 
 
 def test_solve_canonical_rejects_twisted_mu(su31):
-    sdd = SelfDualityData.defaults(su31, get_fusion(su31))
+    sdd = SelfDualityData.defaults(su31)
     sdd.mu["1"] = -1.0 + 0j
     with pytest.raises(mf.InvalidModularData):
         mf.solve_canonical(su31, sdd)
@@ -137,7 +137,7 @@ def test_solve_canonical_rejects_twisted_mu(su31):
 
 def strict_pair(data, chi_values=None):
     fusion = get_fusion(data)
-    sdd = SelfDualityData.defaults(data, fusion)
+    sdd = SelfDualityData.defaults(data)
     if chi_values is None:
         chi = mf.find_fundamental_symplectic_character(data, fusion)
     else:
@@ -171,15 +171,15 @@ def test_solve_strict_trivial_character_matches_canonical(fib):
 
 def test_solve_strict_preconditions(su23, su31):
     fusion = get_fusion(su23)
-    sdd = SelfDualityData.defaults(su23, fusion)
+    sdd = SelfDualityData.defaults(su23)
     wrong = mf.GroupCharacter({"0": 0, "1": Fraction(1, 2), "2": Fraction(1, 2), "3": 0})
     with pytest.raises(mf.InvalidModularData):
         mf.solve_strict(su23, sdd, wrong)
-    sdd3 = SelfDualityData.defaults(su31, get_fusion(su31))
+    sdd3 = SelfDualityData.defaults(su31)
     unpaired = mf.GroupCharacter({"0": 0, "1": Fraction(1, 3), "1.1": Fraction(1, 3)})
     with pytest.raises(mf.InvalidModularData):
         mf.solve_strict(su31, sdd3, unpaired)
-    bad_mu = SelfDualityData.defaults(su23, fusion)
+    bad_mu = SelfDualityData.defaults(su23)
     bad_mu.mu["1"] = 1j
     good = mf.find_fundamental_symplectic_character(su23, fusion)
     with pytest.raises(mf.InvalidModularData):
@@ -187,15 +187,15 @@ def test_solve_strict_preconditions(su23, su31):
 
 
 def test_symplectic_multiplicity(su22, su23):
-    sdd = SelfDualityData.defaults(su22, get_fusion(su22))
+    sdd = SelfDualityData.defaults(su22)
     assert mf.symplectic_multiplicity(su22, sdd, mf.sphere_with_labels(["1", "1", "2"])) == 2
-    sdd3 = SelfDualityData.defaults(su23, get_fusion(su23))
+    sdd3 = SelfDualityData.defaults(su23)
     a = mf.sphere_with_labels(["1", "3", "1"])
     assert mf.symplectic_multiplicity(su23, sdd3, a) == 3
 
 
 def test_self_duality_scalar(su22, su31):
-    sdd = SelfDualityData.defaults(su22, get_fusion(su22))
+    sdd = SelfDualityData.defaults(su22)
     sp = mf.solve_canonical(su22, sdd)
     assert abs(mf.self_duality_scalar(su22, sdd, sp, Surface(())) - 1.0) < 1e-14
     odd = mf.sphere_with_labels(["1", "1", "2"])
@@ -211,7 +211,7 @@ def test_self_duality_scalar(su22, su31):
 
 
 def test_unitary_rho_canonical(su22):
-    sdd = SelfDualityData.defaults(su22, get_fusion(su22))
+    sdd = SelfDualityData.defaults(su22)
     sp = mf.solve_canonical(su22, sdd)
     uu = ScalingPair(u=sp.u, w=sp.u)
     assert abs(mf.unitary_rho(su22, sdd, uu, Surface(())) - 1.0) < 1e-14

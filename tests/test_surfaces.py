@@ -195,7 +195,7 @@ def test_check_gluing_dimension_detects_corruption(su22):
     fusion = get_fusion(su22)
     broken = np.array(fusion.N)
     broken[0, 1, 1] += 1  # inflate a unit-row structure constant
-    fake = mf.FusionTensor(su22.labels, broken)
+    fake = mf.FusionTensor(su22.labels, broken, fusion.handle)
     # With the slots mid-chain the two sides reassociate differently, so
     # the identity really constrains the tensor (trailing slots would not).
     a = mf.sphere_with_labels(["0", "1", "0", "1"])
