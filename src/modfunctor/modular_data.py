@@ -6,6 +6,9 @@ twist for every label.  Everything else in the package (fusion rules,
 state-space dimensions, character groups, scaling solvers) is computed
 from these four pieces of data.  The handle operator ``FusionTensor.handle``
 and the indicators (:func:`fs_indicator`) are closed forms in S.
+:func:`verlinde_fusion` checks every fusion coefficient once and returns a
+:class:`FusionTensor` that is read by slice N[:, j, :], built when first
+read; only identity checks stack the dense n^3 tensor ``FusionTensor.N``.
 
 Construction performs *structural* checks only (shapes, bijectivity,
 label consistency, finite entries) and raises :class:`InvalidModularData`
@@ -151,31 +154,70 @@ class ModularData:
         return f"ModularData(n={self.n}, zero={self.zero!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class FusionTensor:
-    """Integer fusion multiplicities N[i, j, k] = N_{ij}^k in label order.
+def _column_max(M):
+    """Largest column sum of a nonnegative integer matrix, at least 1.
 
-    `handle` is the integer handle operator H = sum_j N_j N_{j*}, (N_j)_{xy} =
-    N_{xj}^y; H_{xy} is the dimension of the torus with points x and dual(y).
+    max(v M) <= max(v) * _column_max(M) for a nonnegative vector v.
+    """
+    return max(1, int(M.sum(axis=0).max()))
+
+
+class FusionTensor:
+    """Integer fusion multiplicities N[i, j, k] = N_{ij}^k in label order, read by slice.
+
+    `slice(j)` is N[:, j, :], the int64 matrix (N_j)_{xy} = N_{xj}^y; it is
+    built by `slice_of(j)` on first use and cached, with its largest column
+    sum in `column_max[j]`.  `N` stacks every slice once, on first access,
+    for identities that need the whole tensor.  `handle` is the integer
+    handle operator H = sum_j N_j N_{j*}; H_{xy} is the dimension of the
+    torus with points x and dual(y), and `handle_column_max` its largest
+    column sum.
 
     Compared (and hashed) by identity: the tensor is derived data, so two
     instances built from the same category are interchangeable anyway.
     """
 
-    labels: tuple
-    N: np.ndarray = field(repr=False)
-    handle: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        n = len(self.labels)
-        if self.N.shape != (n, n, n):
-            raise InvalidModularData("fusion tensor shape does not match label count")
-        if self.handle.shape != (n, n):
+    def __init__(self, labels, slice_of, handle):
+        n = len(labels)
+        if handle.shape != (n, n):
             raise InvalidModularData("handle operator shape does not match label count")
+        self.labels = tuple(labels)
+        self.handle = handle
+        self.handle_column_max = _column_max(handle)
+        self.column_max = {}
+        self._slice_of = slice_of
+        self._slices = {}
+        self._N = None
+
+    def slice(self, j):
+        """N[:, j, :] as an int64 matrix (N_j)_{xy} = N_{xj}^y, cached."""
+        M = self._slices.get(j)
+        if M is None:
+            M = self._slices[j] = self._slice_of(j)
+            M.setflags(write=False)
+            self.column_max[j] = _column_max(M)
+        return M
+
+    @property
+    def N(self):
+        """The dense (n, n, n) tensor, stacked from the slices on first access.
+
+        The cached slices then become views of it, so each is stored once.
+        """
+        if self._N is None:
+            n = len(self.labels)
+            N = np.empty((n, n, n), dtype=np.int64)
+            for j in range(n):
+                N[:, j, :] = self.slice(j)
+                self._slices[j] = N[:, j, :]
+                self._slices[j].setflags(write=False)
+            N.setflags(write=False)
+            self._N = N
+        return self._N
 
     def coeff(self, data, i, j, k):
         """N_{ij}^k by label name."""
-        return int(self.N[data.index(i), data.index(j), data.index(k)])
+        return int(self.slice(data.index(j))[data.index(i), data.index(k)])
 
 
 @dataclass
@@ -306,7 +348,10 @@ def verlinde_fusion(data, atol=None):
     (default: `data.tol`), and the handle operator S diag(S_{0r}^{-2}) S^dagger
     to integers within :func:`_integer_tolerance`; otherwise
     :class:`NonIntegralFusion` is raised, which signals that (S, theta) is
-    not valid modular data.
+    not valid modular data.  The sum is symmetric in i and j, so the check
+    visits each coefficient once, with i <= j, one row block at a time, and
+    keeps none of them: the returned :class:`FusionTensor` rounds a slice
+    again when it is first read.
     """
     if atol is None:
         atol = data.tol
@@ -316,20 +361,23 @@ def verlinde_fusion(data, atol=None):
     if np.min(np.abs(row0)) <= data.tol:
         raise NonIntegralFusion("a unit-row S entry vanishes; Verlinde sum undefined")
     n = data.n
-    N = np.empty((n, n, n), dtype=np.int64)
     Sct = S.conj().T
     dev = 0.0
+    lowest, where = 0, None
     for i in range(n):
-        raw = (S * (S[i] / row0)) @ Sct
+        raw = (S[i:] * (S[i] / row0)) @ Sct  # raw[j - i, k] = N_{ij}^k for j >= i
         rounded = np.round(raw.real)
         dev = max(dev, float(np.max(np.abs(raw - rounded))))
-        N[i] = rounded
+        low = rounded.min()
+        if low < lowest:
+            j, k = np.unravel_index(int(np.argmin(rounded)), rounded.shape)
+            lowest, where = int(low), (i, i + int(j), int(k))
     if dev > atol:
         raise NonIntegralFusion(f"fusion coefficients deviate from integers by {dev:.3e} > {atol:.3e}")
-    if N.min() < 0:
-        i, j, k = np.unravel_index(int(np.argmin(N)), N.shape)
+    if where is not None:
+        i, j, k = where
         raise NonIntegralFusion(
-            f"negative fusion coefficient {int(N[i, j, k])} at "
+            f"negative fusion coefficient {lowest} at "
             f"({data.labels[i]}, {data.labels[j]}, {data.labels[k]})"
         )
     weight = row0**-2
@@ -339,7 +387,11 @@ def verlinde_fusion(data, atol=None):
     dev = np.abs(raw - rounded)
     if np.any(dev > _integer_tolerance(atol, scale)):
         raise NonIntegralFusion(f"handle operator deviates from integers by up to {dev.max():.3e}")
-    return FusionTensor(data.labels, N, rounded.astype(np.int64))
+
+    def slice_of(j):
+        return np.round(((S * (S[j] / row0)) @ Sct).real).astype(np.int64)
+
+    return FusionTensor(data.labels, slice_of, rounded.astype(np.int64))
 
 
 def fs_indicator(data, i):

@@ -12,8 +12,10 @@ State-space dimensions are computed two independent ways: the
 pair-of-pants recursion in integers (:func:`state_dim`), and the
 closed-form character sum over the S-matrix (:func:`state_dim_verlinde`).
 Valid data makes them agree exactly.  The recursion applies one fusion
-tensor slice per point and ``FusionTensor.handle`` once per genus; H_{xy}
-is the dimension of the torus with points labeled x and dual(y).
+slice ``FusionTensor.slice(j)`` per point and ``FusionTensor.handle`` once
+per genus, so it never reads the dense tensor; H_{xy} is the dimension of
+the torus with points labeled x and dual(y).  It is exact at every genus:
+entries that could pass 2^62 are carried as Python ints.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .modular_data import InvalidModularData, _integer_tolerance
+
+_INT64_SAFE = 2**62
 
 __all__ = [
     "MarkedPoint",
@@ -218,15 +222,27 @@ def _component_dim(data, fusion, genus, labels):
     Realizes dim(0; i) = [i = 0], dim(0; i, j) = [j = dual(i)],
     dim(0; i_1..i_n) = sum_x N_{i_1 i_2}^x dim(0; x, i_3..),
     dim(g; L) = sum_x dim(g-1; L + (x, dual x)), reassociated into a chain
-    of fusion matrices (M_j)_{xy} = N_{xj}^y followed by powers of the
-    handle operator H = sum_j M_j M_{j*}, all in integers.
+    of fusion slices (N_j)_{xy} = N_{xj}^y followed by powers of the
+    handle operator H = sum_j N_j N_{j*}, all in integers: int64 while the
+    product of the largest column sums bounds every entry below 2^62,
+    Python ints above.
     """
     idx = [data.index(l) for l in labels]
     z = data.index(data.zero)
-    v = np.zeros(data.n, dtype=np.int64)
-    v[idx[0] if idx else z] = 1
+    bound = fusion.handle_column_max**genus
+    slices = []
     for j in idx[1:]:
-        v = v @ fusion.N[:, j, :]
+        slices.append(fusion.slice(j))
+        bound *= fusion.column_max[j]
+    if slices:  # e_{i_1} N_{i_2} is the row N_{i_1 i_2}^.
+        v = slices.pop(0)[idx[0]]
+    else:
+        v = np.zeros(data.n, dtype=np.int64)
+        v[idx[0] if idx else z] = 1
+    if bound >= _INT64_SAFE:
+        v = v.astype(object)
+    for M in slices:
+        v = v @ M
     for _ in range(genus):
         v = v @ fusion.handle
     return int(v[z])

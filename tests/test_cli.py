@@ -174,6 +174,32 @@ def test_info_and_canonical_scaling_build_no_fusion_tensor(monkeypatch):
     assert run_command(["scaling", "su", "4", "5", "--mode", "canonical"])[0] == 0
 
 
+def test_dims_characters_strict_scaling_read_no_dense_tensor(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense fusion tensor read")
+
+    monkeypatch.setattr(mf.FusionTensor, "N", property(refuse))
+    assert run_command(["dims", "su", "4", "5", "--surface", "g=2[1,1]"])[0] == 0
+    assert run_command(["characters", "su", "4", "5"])[0] == 0
+    assert run_command(["scaling", "su", "4", "5", "--mode", "strict"])[0] == 0
+
+
+def test_dims_builds_only_the_slice_it_reads(monkeypatch):
+    built = []
+    init = mf.FusionTensor.__init__
+
+    def counting_init(self, labels, slice_of, handle):
+        def counted(j):
+            built.append(j)
+            return slice_of(j)
+
+        init(self, labels, counted, handle)
+
+    monkeypatch.setattr(mf.FusionTensor, "__init__", counting_init)
+    assert run_command(["dims", "su", "4", "5", "--surface", "g=2[1,1]"])[0] == 0
+    assert built == [get_family("su", 4, 5).index("1")]
+
+
 def test_mf_tol_env(monkeypatch):
     monkeypatch.setenv("MF_TOL", "abc")
     code, report = run_command(["info", "su", "2", "1"])

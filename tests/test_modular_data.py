@@ -6,6 +6,7 @@ larger families rely on.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,48 @@ def test_verlinde_rejects_corrupt_s(su22):
     bad = _rebuild(su22, S=S)
     with pytest.raises(mf.NonIntegralFusion):
         mf.verlinde_fusion(bad)
+
+
+def fusion_oracle(data):
+    """Dense tensor by the eager route: N[i] = round(S diag(S_i/S_0) S^dagger), every i."""
+    S = data.S
+    row0 = S[data.index(data.zero)]
+    Sct = S.conj().T
+    N = np.empty((data.n,) * 3, dtype=np.int64)
+    for i in range(data.n):
+        N[i] = np.round(((S * (S[i] / row0)) @ Sct).real)
+    return N
+
+
+@pytest.mark.parametrize(
+    "tokens", builtin_tokens() + [("lie", "D", 4, 1), ("su", 4, 8)], ids=lambda t: " ".join(map(str, t))
+)
+def test_fusion_slices_and_stack_match_eager_oracle(tokens):
+    data = get_family(*tokens)
+    want = fusion_oracle(data)
+    dense_first = mf.verlinde_fusion(data)
+    assert dense_first.N.dtype == np.int64
+    assert np.array_equal(dense_first.N, want)
+    slices_first = mf.verlinde_fusion(data)
+    for j in range(data.n):
+        for fusion in (slices_first, dense_first):
+            assert fusion.slice(j).dtype == np.int64
+            assert np.array_equal(fusion.slice(j), want[:, j, :])
+            assert fusion.column_max[j] == max(1, want[:, j, :].sum(axis=0).max())
+    assert np.array_equal(slices_first.N, want)
+
+
+def test_negative_coefficient_error_names_a_negative_triple(su32):
+    # D S D with D = diag(+-1) keeps S symmetric, unitary and the Verlinde sums
+    # integral, but negates N_ij^k whenever an odd number of i, j, k is flipped
+    flip = np.ones(su32.n)
+    flip[su32.index("2.1")] = -1
+    bad = _rebuild(su32, S=su32.S * np.outer(flip, flip))
+    with pytest.raises(mf.NonIntegralFusion, match="negative fusion coefficient") as info:
+        mf.verlinde_fusion(bad)
+    value, i, j, k = re.search(r"coefficient (-\d+) at \((.+), (.+), (.+)\)$", str(info.value)).groups()
+    N = fusion_oracle(bad)
+    assert N[bad.index(i), bad.index(j), bad.index(k)] == int(value) < 0
 
 
 def handle_oracle(data, fusion):

@@ -195,7 +195,7 @@ def test_check_gluing_dimension_detects_corruption(su22):
     fusion = get_fusion(su22)
     broken = np.array(fusion.N)
     broken[0, 1, 1] += 1  # inflate a unit-row structure constant
-    fake = mf.FusionTensor(su22.labels, broken, fusion.handle)
+    fake = mf.FusionTensor(su22.labels, lambda j: broken[:, j, :], fusion.handle)
     # With the slots mid-chain the two sides reassociate differently, so
     # the identity really constrains the tensor (trailing slots would not).
     a = mf.sphere_with_labels(["0", "1", "0", "1"])
@@ -209,3 +209,47 @@ def test_check_gluing_dimension_random(su31):
         labs = [su31.labels[rng.integers(0, su31.n)] for _ in range(2)]
         a = mf.sphere_with_labels(labs + ["0", "0"])
         assert mf.check_gluing_dimension(su31, fusion, a, "p2", "p3")
+
+
+def exact_dim_oracle(data, fusion, genus, labels):
+    """One component's dimension by the fusion recursion in Python ints.
+
+    The handle is the integer sum_j N_j N_{j*}, not the library's closed form.
+    """
+    n = data.n
+    N = fusion.N.tolist()
+    handle = [
+        [sum(N[x][j][w] * N[w][data.dual_index(j)][y] for j in range(n) for w in range(n)) for y in range(n)]
+        for x in range(n)
+    ]
+    idx = [data.index(lab) for lab in labels]
+    v = [0] * n
+    v[idx[0] if idx else data.index(data.zero)] = 1
+    steps = [[row[j] for row in N] for j in idx[1:]] + [handle] * genus
+    for M in steps:
+        v = [sum(v[x] * M[x][y] for x in range(n)) for y in range(n)]
+    return v[data.index(data.zero)]
+
+
+@pytest.mark.parametrize(
+    "tokens, genus, labels, want",
+    [
+        (("su", 3, 3), 15, (), 18422826780655469656870),
+        (("su", 3, 3), 20, (), 1113957878245082949567486357526),
+        (("su", 3, 3), 30, (), 4072806498390771485704334873246916374486404726),
+        (("su", 2, 5), 20, ("1", "1"), None),
+        (("su", 3, 2), 30, ("1", "2.1", "1.1"), None),
+        (("lie", "G", 2, 1), 45, ("0.1",), None),
+    ],
+    ids=lambda v: " ".join(map(str, v)) if isinstance(v, tuple) else str(v),
+)
+def test_state_dim_exact_at_high_genus(tokens, genus, labels, want):
+    data = get_family(*tokens)
+    fusion = get_fusion(data)
+    pts = tuple(MarkedPoint(f"p{i}", lab) for i, lab in enumerate(labels))
+    got = mf.state_dim(data, fusion, Surface((Component(genus, pts),)))
+    oracle = exact_dim_oracle(data, fusion, genus, labels)
+    assert got == oracle > 2**63
+    assert type(got) is int
+    if want is not None:
+        assert got == want
