@@ -26,17 +26,13 @@ from .fileio import (
     save_modular_data,
 )
 from .lie import (
-    LatticeGroup,
     LieData,
     YoungDiagram,
     alcove_weights,
-    coupon_sign,
-    lattice_fundamental_group,
     parse_young_label,
     simple_lie_modular_data,
     su_level_labels,
     su_modular_data,
-    su_mu_tilde,
     young_dagger,
     young_label,
 )
@@ -50,7 +46,7 @@ from .modular_data import (
     ValidationFailure,
     ValidationReport,
     anomaly_scalar,
-    fs_indicator,
+    fs_indicators,
     gauss_sum_delta,
     global_D,
     quantum_dim,

@@ -8,7 +8,10 @@ the group G of invertible labels, those i with i (x) dual(i) simple
 of U is the monodromy charge i -> S_gi S_00 / (S_0g S_0i) of exactly one
 g in G.  :func:`dual_group` therefore reads only G's multiplication
 table, from the fusion slices of the labels with |dim| = 1, and |G| rows
-of S, never the full fusion support.  Character values are rationals
+of S, never the full fusion support.  The integer Smith normal form
+that presents the group (and builds the certificate below) is computed
+in Python ints, pivot step by pivot step as sympy computes it, so sympy
+is needed only by the tests.  Character values are rationals
 mod 1 (the exponent of e^{2 pi i x}), stored as :class:`fractions.Fraction`,
 so everything downstream is exact.
 
@@ -31,7 +34,7 @@ import numpy as np
 from .modular_data import (
     InvalidModularData,
     ScaleLimit,
-    fs_indicator,
+    fs_indicators,
     quantum_dims,
     verlinde_fusion,
 )
@@ -106,17 +109,127 @@ class InfeasibilityCertificate:
     target_sum: Fraction
 
 
-def _smith(matrix):
-    """(diag, left, right) of an integer matrix with diag = left @ m @ right."""
-    from sympy import ZZ, Matrix
-    from sympy.matrices.normalforms import smith_normal_decomp
+def _gcdext(a, b):
+    """(x, y, g) with x a + y b = g = gcd(a, b) >= 0, by Euclid on |a|, |b|."""
+    if not a or not b:
+        g = abs(a) or abs(b)
+        return (a // g, b // g, g) if g else (0, 0, 0)
+    x_sign, a = (-1, -a) if a < 0 else (1, a)
+    y_sign, b = (-1, -b) if b < 0 else (1, b)
+    x, r, y, s = 1, 0, 0, 1
+    while b:
+        q, c = divmod(a, b)
+        a, b = b, c
+        x, r = r, x - q * r
+        y, s = s, y - q * s
+    return x * x_sign, y * y_sign, a
 
-    snf, left, right = smith_normal_decomp(Matrix(matrix.tolist()), ZZ)
-    return (
-        np.array(snf.tolist(), dtype=object),
-        np.array(left.tolist(), dtype=object),
-        np.array(right.tolist(), dtype=object),
-    )
+
+def _mix_rows(m, i, j, a, b, c, d):
+    """Rows (i, j) of m become (a row_i + b row_j, c row_i + d row_j)."""
+    for k, (e, f) in enumerate(zip(m[i], m[j])):
+        m[i][k], m[j][k] = a * e + b * f, c * e + d * f
+
+
+def _mix_columns(m, i, j, a, b, c, d):
+    """Columns (i, j) of m become (a col_i + b col_j, c col_i + d col_j)."""
+    for row in m:
+        e, f = row[i], row[j]
+        row[i], row[j] = a * e + b * f, c * e + d * f
+
+
+def _eye(n):
+    return [[int(a == b) for b in range(n)] for a in range(n)]
+
+
+def _smith_lists(m, rows, cols):
+    """(invariants, left, right) for the list-of-lists integer matrix m, which is consumed.
+
+    The pivot step of sympy's ``_smith_normal_decomp`` over ZZ, with the same
+    choices at every step, so the transforms agree with sympy's exactly.
+    """
+    if not rows or not cols:
+        return (), _eye(rows), _eye(cols)
+    left, right = _eye(rows), _eye(cols)
+
+    def reduce(line, count, mix, transform):
+        # make line(j) zero for j >= 1 by unimodular mixes with line 0
+        pivot = m[0][0]
+        for j in range(1, count):
+            entry = line(j)
+            if entry == 0:
+                continue
+            q, r = divmod(entry, pivot)
+            if r == 0:
+                coeffs = (1, 0, -q, 1)
+            else:
+                x, y, g = _gcdext(pivot, entry)
+                coeffs = (x, y, entry // g, -(pivot // g))
+                pivot = g
+            mix(m, 0, j, *coeffs)
+            mix(transform, 0, j, *coeffs)
+
+    if m[0][0] == 0:
+        # a nonzero pivot from column 0 by a row swap, else from row 0 by a column swap
+        i = next((i for i in range(1, rows) if m[i][0] != 0), None)
+        j = next((j for j in range(1, cols) if m[0][j] != 0), None)
+        if i is not None:
+            m[0], m[i] = m[i], m[0]
+            left[0], left[i] = left[i], left[0]
+        elif j is not None:
+            for row in m + right:
+                row[0], row[j] = row[j], row[0]
+    while any(m[0][1:]) or any(row[0] for row in m[1:]):
+        reduce(lambda j: m[j][0], rows, _mix_rows, left)
+        reduce(lambda j: m[0][j], cols, _mix_columns, right)
+    pivot = m[0][0]
+    if pivot < 0:
+        pivot = m[0][0] = -pivot
+        left[0] = [-e for e in left[0]]
+
+    invs = ()
+    if rows > 1 and cols > 1:
+        invs, sub_left, sub_right = _smith_lists([row[1:] for row in m[1:]], rows - 1, cols - 1)
+        # left <- (1 (+) sub_left) left, right <- right (1 (+) sub_right)
+        lower = list(zip(*left[1:]))
+        left = [left[0]] + [[sum(x * y for x, y in zip(r, c)) for c in lower] for r in sub_left]
+        inner = list(zip(*sub_right))
+        right = [[r[0]] + [sum(x * y for x, y in zip(r[1:], c)) for c in inner] for r in right]
+    if pivot == 0:
+        # a zero pivot goes last
+        left = left[1:] + left[:1]
+        right = [row[1:] + row[:1] for row in right]
+        return invs + (0,), left, right
+    result = [pivot, *invs]
+    # the pivot need not divide the rest: move gcd forward, lcm back
+    for i in range(len(result) - 1):
+        a, b = result[i], result[i + 1]
+        if b == 0 or b % a == 0:
+            break
+        x, y, d = _gcdext(a, b)
+        alpha, beta = a // d, b // d
+        _mix_rows(left, i, i + 1, 1, 0, x, 1)
+        _mix_columns(right, i, i + 1, 1, y, 0, 1)
+        _mix_rows(left, i, i + 1, 1, -alpha, 0, 1)
+        _mix_columns(right, i, i + 1, 1, 0, -beta, 1)
+        _mix_rows(left, i, i + 1, 0, 1, -1, 0)
+        result[i], result[i + 1] = d, b * alpha
+    return tuple(result), left, right
+
+
+def _smith(matrix):
+    """(diag, left, right) of an integer matrix with diag = left @ m @ right.
+
+    Object arrays of Python ints; left and right are unimodular and each
+    diagonal entry divides the next.
+    """
+    rows, cols = matrix.shape
+    invs, left, right = _smith_lists([[int(x) for x in row] for row in matrix], rows, cols)
+    diag = np.zeros((rows, cols), dtype=object)
+    for a, x in enumerate(invs):
+        diag[a, a] = x
+    left = np.array(left, dtype=object).reshape(rows, rows)
+    return diag, left, np.array(right, dtype=object).reshape(cols, cols)
 
 
 def dual_group(data, fusion):
@@ -191,13 +304,11 @@ def generator_characters(pres):
 
 def _indicator_targets(data):
     """Required character values on self-dual labels: 1/2 on symplectic, 0 otherwise."""
-    targets = {}
-    for i, lab in enumerate(data.labels):
-        if data.dual_index(i) != i:
-            continue
-        nu = fs_indicator(data, lab)
-        targets[lab] = Fraction(1, 2) if nu == -1 else Fraction(0)
-    return targets
+    return {
+        lab: Fraction(1, 2) if nu == -1 else Fraction(0)
+        for i, (lab, nu) in enumerate(fs_indicators(data).items())
+        if data.dual_index(i) == i
+    }
 
 
 def find_fundamental_symplectic_character(data, fusion=None, pres=None):

@@ -38,10 +38,10 @@ from .modular_data import (
     InvalidModularData,
     ScaleLimit,
     ValidationFailure,
-    fs_indicator,
+    fs_indicators,
     gauss_sum_delta,
     global_D,
-    quantum_dim,
+    quantum_dims,
     validate_modular_data,
     verlinde_fusion,
 )
@@ -170,15 +170,13 @@ def _cmd_info(args, tol):
     delta = gauss_sum_delta(data)
     rows = []
     machine_dims = {}
-    machine_fs = {}
-    for lab in data.labels:
-        d = quantum_dim(data, lab)
-        nu = fs_indicator(data, lab)
+    machine_fs = fs_indicators(data)
+    for lab, d in zip(data.labels, quantum_dims(data)):
+        d = complex(d)
         machine_dims[lab] = _cpair(d)
-        machine_fs[lab] = nu
         rows.append(
             f"  {lab:>10}  dual={data.dual[lab]:>10}  dim={d.real:14.9f}  "
-            f"theta={_fmt_complex(data.theta[lab])}  fs={nu:+d}"
+            f"theta={_fmt_complex(data.theta[lab])}  fs={machine_fs[lab]:+d}"
         )
     human = "\n".join(
         [

@@ -12,9 +12,8 @@ Two construction routes are provided:
 Both produce a :class:`~modfunctor.modular_data.ModularData` whose
 S-matrix is exactly unitary up to floating point roundoff and whose first
 row is real positive.  In addition this module knows the combinatorial
-side of the special-unitary family (diagram transpose-complement duality,
-the exact |lambda|/N character) and the quotient of weight lattice by
-root lattice for every simple type.
+side of the special-unitary family (Young-diagram labels and their
+transpose-complement duality).
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import _smith
 from .modular_data import DEFAULT_TOL, InvalidModularData, ModularData, ScaleLimit
 
 __all__ = [
@@ -35,16 +33,12 @@ __all__ = [
     "parse_young_label",
     "su_level_labels",
     "young_dagger",
-    "su_mu_tilde",
-    "coupon_sign",
     "su_modular_data",
     "LieData",
     "weight_label",
     "parse_weight_label",
     "alcove_weights",
     "simple_lie_modular_data",
-    "LatticeGroup",
-    "lattice_fundamental_group",
 ]
 
 _SU_MAX_N = 6
@@ -138,33 +132,6 @@ def young_dagger(N, diagram):
     full = list(rows) + [0] * (N - len(rows))
     out = tuple(top - full[N - 1 - r] for r in range(N))
     return YoungDiagram(tuple(r for r in out if r > 0))
-
-
-def su_mu_tilde(N, diagram):
-    """Exact value |lambda| / N in Q/Z of the dual fundamental group character."""
-    return Fraction(diagram.size, N) % 1
-
-
-def coupon_sign(N, k, m):
-    """Duality coupon scalar for an m-row column inside the rank-N family at level k.
-
-    With q = e^{2 pi i/(k+N)} and principal fractional powers
-    a = q^{-1/(2N)}, v = q^{-N/2}, s = q^{1/2}, returns
-    (-a^{-1} s)^{n m + m(m-1)} (a^{-1} v)^m for n = N - m.  The fractional
-    powers cancel exactly, leaving the sign (-1)^{(N-1) m}.
-    """
-    if not (0 <= m <= N):
-        raise InvalidModularData(f"m must be in 0..{N}")
-    kappa = k + N
-
-    def qpow(r):
-        return cmath.exp(2j * math.pi * r / kappa)
-
-    a = qpow(Fraction(-1, 2 * N))
-    v = qpow(Fraction(-N, 2))
-    s = qpow(Fraction(1, 2))
-    n = N - m
-    return (-s / a) ** (n * m + m * (m - 1)) * (v / a) ** m
 
 
 # ---------------------------------------------------------------------------
@@ -488,47 +455,3 @@ def simple_lie_modular_data(ld, tol=DEFAULT_TOL):
     dual = {name: weight_label(ld.dual_weight(w)) for w, name in zip(weights, names)}
     zero = weight_label((0,) * ld.rank)
     return ModularData(names, zero, dual, S, theta, tol=tol)
-
-
-# ---------------------------------------------------------------------------
-# Weight lattice modulo root lattice
-
-
-@dataclass(frozen=True)
-class LatticeGroup:
-    """Finite abelian presentation of weight lattice / root lattice.
-
-    `invariant_factors` lists the cyclic orders > 1 in divisibility order;
-    `project` maps a weight in Dynkin coordinates to its class, one
-    coordinate per factor.
-    """
-
-    invariant_factors: tuple
-    _transform: tuple
-
-    def project(self, weight):
-        out = []
-        for row, mod in zip(self._transform, self.invariant_factors):
-            out.append(sum(r * int(a) for r, a in zip(row, weight)) % mod)
-        return tuple(out)
-
-    @property
-    def order(self):
-        n = 1
-        for f in self.invariant_factors:
-            n *= f
-        return n
-
-
-def lattice_fundamental_group(ld):
-    """Quotient of the weight lattice by the root lattice as a :class:`LatticeGroup`.
-
-    Computed as the cokernel of the Cartan matrix (whose columns are the
-    simple roots in weight coordinates) via Smith normal form.
-    """
-    snf, left, _right = _smith(ld.cartan)
-    diag = [abs(int(snf[i, i])) for i in range(ld.rank)]
-    kept = [i for i, x in enumerate(diag) if x > 1]
-    factors = tuple(diag[i] for i in kept)
-    rows = tuple(tuple(int(left[i, j]) for j in range(ld.rank)) for i in kept)
-    return LatticeGroup(invariant_factors=factors, _transform=rows)

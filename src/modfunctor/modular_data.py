@@ -5,7 +5,7 @@ distinguished unit label, a duality involution, a complex S-matrix and a
 twist for every label.  Everything else in the package (fusion rules,
 state-space dimensions, character groups, scaling solvers) is computed
 from these four pieces of data.  The handle operator ``FusionTensor.handle``
-and the indicators (:func:`fs_indicator`) are closed forms in S.
+and the indicators (:func:`fs_indicators`) are closed forms in S.
 :func:`verlinde_fusion` checks every fusion coefficient once and returns a
 :class:`FusionTensor` that is read by slice N[:, j, :], built when first
 read; only identity checks stack the dense n^3 tensor ``FusionTensor.N``.
@@ -42,7 +42,7 @@ __all__ = [
     "gauss_sum_delta",
     "anomaly_scalar",
     "verlinde_fusion",
-    "fs_indicator",
+    "fs_indicators",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -394,31 +394,33 @@ def verlinde_fusion(data, atol=None):
     return FusionTensor(data.labels, slice_of, rounded.astype(np.int64))
 
 
-def fs_indicator(data, i):
-    """Self-duality sign of a label: 0 if not self-dual, else +1 or -1.
+def fs_indicators(data):
+    """Self-duality sign of every label, in label order: 0 if not self-dual, else +1 or -1.
 
     Bantay's D^{-2} sum_{j,k} N_{jk}^i dim(j) dim(k) (theta_j/theta_k)^2,
-    summed through Verlinde as
-    D^{-2} sum_r conj(S_{ir})/S_{0r} (S (dim theta^2))_r (S (dim theta^{-2}))_r,
+    summed through Verlinde as D^{-2} sum_r conj(S_{ir})/S_{0r} a_r b_r
+    with a = S (dim theta^2) and b = S (dim theta^{-2}) computed once,
     vanishes on non-self-dual labels and takes the value +1 on
     orthogonal and -1 on symplectic self-dual labels.  Raises
-    :class:`InvalidModularData` if the sum is not within tolerance of
-    {-1, 0, +1}.
+    :class:`InvalidModularData`, naming the first such label, if a sum is
+    not within tolerance of {-1, 0, +1}.
     """
-    ii = data.index(i)
     S = data.S
     dims = quantum_dims(data)
     th2 = np.array([data.theta[a] for a in data.labels]) ** 2
     row0 = S[data.index(data.zero), :]
-    total = complex(np.sum(S[ii].conj() / row0 * (S @ (dims * th2)) * (S @ (dims / th2))))
-    val = total / complex(np.sum(dims**2))
+    vals = (S.conj() @ ((S @ (dims * th2)) * (S @ (dims / th2)) / row0)) / complex(np.sum(dims**2))
     # worst case measured over the built-in families, lie D 4 1 and su
     # families up to su 5 6 (n = 210) is 9.8e-15; allow a small multiple of
     # tol for user data computed less carefully
     atol = max(data.tol, 1e-12) * 100
-    for target in (0, 1, -1):
-        if abs(val - target) <= atol:
-            if target != 0 and data.dual_index(ii) != ii:
-                raise InvalidModularData(f"nonzero indicator {val} on non-self-dual label {i!r}")
-            return target
-    raise InvalidModularData(f"indicator of {i!r} is {val}, not within tolerance of -1, 0, +1")
+    out = {}
+    for ii, (i, val) in enumerate(zip(data.labels, vals)):
+        val = complex(val)
+        target = next((t for t in (0, 1, -1) if abs(val - t) <= atol), None)
+        if target is None:
+            raise InvalidModularData(f"indicator of {i!r} is {val}, not within tolerance of -1, 0, +1")
+        if target != 0 and data.dual_index(ii) != ii:
+            raise InvalidModularData(f"nonzero indicator {val} on non-self-dual label {i!r}")
+        out[i] = target
+    return out

@@ -22,7 +22,7 @@ import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .modular_data import InvalidModularData, fs_indicator, global_D, quantum_dim
+from .modular_data import InvalidModularData, fs_indicators, global_D, quantum_dim
 
 __all__ = [
     "ScalingPair",
@@ -63,10 +63,7 @@ class SelfDualityData:
 
     @classmethod
     def defaults(cls, data):
-        mu = {}
-        for lab in data.labels:
-            nu = fs_indicator(data, lab)
-            mu[lab] = complex(nu) if nu != 0 else 1.0 + 0j
+        mu = {lab: complex(nu) if nu != 0 else 1.0 + 0j for lab, nu in fs_indicators(data).items()}
         return cls(mu=mu, lam={lab: 1.0 + 0j for lab in data.labels})
 
 

@@ -1,21 +1,27 @@
 """Grading group presentations, characters, and the symplectic search."""
 
+import functools
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import modfunctor as mf
+from modfunctor import characters
 from modfunctor.characters import (
     GroupCharacter,
     _build_certificate,
+    _smith,
     _verify_certificate,
     dual_group,
 )
 from modfunctor.cli import run_command
+from modfunctor.lie import LieData
 from conftest import builtin_tokens, get_family, get_fusion
 from grading_oracle import build_relation_matrix, is_character, oracle_group
+from lie_oracle import su_mu_tilde
 
 
 def group_of(*tokens):
@@ -113,7 +119,7 @@ def test_is_character(su22, su32):
     zero2 = GroupCharacter({lab: 0 for lab in su22.labels})
     assert is_character(rows2, su22.labels, zero2)
     mu3 = GroupCharacter(
-        {lab: mf.su_mu_tilde(3, mf.parse_young_label(lab)) for lab in su32.labels}
+        {lab: su_mu_tilde(3, mf.parse_young_label(lab)) for lab in su32.labels}
     )
     assert is_character(rows3, su32.labels, mu3)
     bad = GroupCharacter({"0": 0, "1": Fraction(1, 3), "2": 0})
@@ -125,7 +131,7 @@ def test_su2_mu_tilde_is_character():
         data = get_family("su", 2, k)
         rows = oracle_group(data, get_fusion(data))[2]
         chi = GroupCharacter(
-            {lab: mf.su_mu_tilde(2, mf.parse_young_label(lab)) for lab in data.labels}
+            {lab: su_mu_tilde(2, mf.parse_young_label(lab)) for lab in data.labels}
         )
         assert is_character(rows, data.labels, chi)
 
@@ -140,9 +146,7 @@ def test_find_su23_symplectic_character(su23):
         "3": Fraction(1, 2),
     }
     # the odd labels are exactly the symplectic ones
-    want = {"0": 1, "1": -1, "2": 1, "3": -1}
-    for lab, nu in want.items():
-        assert mf.fs_indicator(su23, lab) == nu
+    assert mf.fs_indicators(su23) == {"0": 1, "1": -1, "2": 1, "3": -1}
 
 
 def test_find_with_no_symplectic_labels_returns_identity(su32, fib):
@@ -195,7 +199,7 @@ def test_infeasibility_certificate(su31):
 
 def test_vanishing_check(su31):
     mu = GroupCharacter(
-        {lab: mf.su_mu_tilde(3, mf.parse_young_label(lab)) for lab in su31.labels}
+        {lab: su_mu_tilde(3, mf.parse_young_label(lab)) for lab in su31.labels}
     )
     hot = mf.sphere_with_labels(["1", "1"])  # character sum 2/3, dim 0
     assert mf.vanishing_check(su31, mu, hot)
@@ -204,3 +208,107 @@ def test_vanishing_check(su31):
     fake = GroupCharacter({"0": 0, "1": Fraction(1, 3), "1.1": Fraction(1, 3)})
     # sum 2/3 on a surface with a one-dimensional state space
     assert not mf.vanishing_check(su31, fake, cold)
+
+
+# ---------------------------------------------------------------------------
+# The integer Smith form behind dual_group and the certificate
+
+
+def _det(rows):
+    """Exact determinant of a square integer matrix by Bareiss elimination."""
+    m = [[int(x) for x in row] for row in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def _random_matrices():
+    rng = np.random.default_rng(20240601)
+    out = [np.zeros((r, c), dtype=np.int64) for r in range(3) for c in range(3)]
+    for _ in range(300):
+        r, c = (int(x) for x in rng.integers(0, 8, size=2))
+        m = rng.integers(-9, 10, size=(r, c))
+        m[rng.random((r, c)) < 0.3] = 0  # zero pivots, zero rows and columns
+        out.append(m)
+    # rank one, so every step after the first pivot is a zero pivot
+    out.append(np.outer([2, -4, 6], [3, 0, -9, 12]))
+    return out
+
+
+@functools.cache
+def _family_matrices():
+    """Every matrix the Smith form receives from the 33 built-in families.
+
+    dual_group's relation matrix for each family, the certificate stack of
+    test_infeasibility_certificate, and the Cartan matrices of the Lie
+    types behind the families (su N is A_{N-1}) and of D 5.
+    """
+    seen = []
+
+    def record(matrix):
+        seen.append(np.array(matrix, dtype=np.int64))
+        return _smith(matrix)
+
+    with mock.patch.object(characters, "_smith", record):
+        for tokens in builtin_tokens():
+            data = get_family(*tokens)
+            dual_group(data, get_fusion(data))
+        su31 = get_family("su", 3, 1)
+        _build_certificate(dual_group(su31, get_fusion(su31)), {"0": Fraction(1, 2)})
+    types = {("A", N - 1) for N, _k in mf.BUILTIN_SU} | {(t, r) for t, r, _level in mf.BUILTIN_LIE}
+    types.add(("D", 5))
+    seen += [np.array(LieData(t, r, 1).cartan, dtype=np.int64) for t, r in sorted(types)]
+    return tuple(seen)
+
+
+def _check_smith(m):
+    diag, left, right = _smith(m)
+    rows, cols = m.shape
+    assert diag.shape == (rows, cols) and left.shape == (rows, rows) and right.shape == (cols, cols)
+    assert all(type(x) is int for x in itertools.chain(diag.flat, left.flat, right.flat))
+    assert np.array_equal(left.dot(m.astype(object)).dot(right), diag)
+    assert _det(left) in (1, -1) and _det(right) in (1, -1)
+    d = [diag[a, a] for a in range(min(rows, cols))]
+    assert np.count_nonzero(diag) == np.count_nonzero(d)
+    assert all(x >= 0 for x in d)
+    # each factor divides the next (0 divides only 0, so zeros come last)
+    assert all((b == 0) if a == 0 else (b % a == 0) for a, b in zip(d, d[1:]))
+
+
+def test_smith_defining_properties_on_random_matrices():
+    for m in _random_matrices():
+        _check_smith(m)
+
+
+def test_smith_defining_properties_on_family_matrices():
+    matrices = _family_matrices()
+    assert len(matrices) > 33 + 1
+    for m in matrices:
+        _check_smith(m)
+
+
+def test_smith_equals_sympy_decomposition():
+    # sympy is a test-only dependency: the library's Smith form is a port of
+    # sympy's pivot steps, so (diag, left, right) must agree entry for entry
+    # (with sympy's default python ground types; gmpy2's gcdext may pick
+    # other Bezout coefficients)
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_decomp
+
+    for m in _random_matrices() + list(_family_matrices()):
+        if not m.size:
+            continue
+        want = smith_normal_decomp(Matrix(m.tolist()), ZZ)
+        got = _smith(m)
+        for g, w in zip(got, want):
+            assert g.tolist() == [[int(x) for x in row] for row in w.tolist()]

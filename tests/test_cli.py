@@ -2,6 +2,10 @@
 
 import cmath
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -226,3 +230,20 @@ def test_main_prints_to_streams(capsys):
 def test_main_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_runtime_never_imports_sympy():
+    # sympy is a test-only oracle; the Smith form of the grading group is in
+    # Python ints, so a fresh interpreter running the commands never loads it
+    script = (
+        "import sys\n"
+        "import modfunctor\n"
+        "from modfunctor.cli import run_command\n"
+        "for argv in (['characters', 'su', '2', '1'], ['scaling', 'su', '3', '1', '--mode', 'strict'],"
+        " ['verify', '--all']):\n"
+        "    assert run_command(argv)[0] == 0, argv\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

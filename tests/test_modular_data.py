@@ -226,22 +226,30 @@ def test_handle_matches_integer_oracle(tokens):
 def test_fs_indicator_matches_tensor_oracle(tokens):
     data = get_family(*tokens)
     fusion = get_fusion(data)
+    got = mf.fs_indicators(data)
+    assert list(got) == list(data.labels)
     for lab in data.labels:
         want = indicator_oracle(data, fusion, lab)
         assert abs(want - round(want.real)) < 1e-9
-        assert mf.fs_indicator(data, lab) == round(want.real)
+        assert got[lab] == round(want.real)
 
 
 def test_fs_indicator_small_families(su22, su31):
-    assert [mf.fs_indicator(su22, lab) for lab in su22.labels] == [1, -1, 1]
+    assert list(mf.fs_indicators(su22).values()) == [1, -1, 1]
     # only the unit is self-dual in the rank-3 level-1 family
-    assert mf.fs_indicator(su31, "0") == 1
-    assert mf.fs_indicator(su31, "1") == 0
-    assert mf.fs_indicator(su31, "1.1") == 0
+    assert mf.fs_indicators(su31) == {"0": 1, "1": 0, "1.1": 0}
 
 
 def test_fs_indicator_fibonacci(fib):
-    assert [mf.fs_indicator(fib, lab) for lab in fib.labels] == [1, 1]
+    assert list(mf.fs_indicators(fib).values()) == [1, 1]
+
+
+def test_fs_indicators_name_the_first_bad_label(su22):
+    # turning the twist of "1" moves its indicator off {-1, 0, +1}
+    theta = dict(su22.theta, **{"1": su22.theta["1"] * np.exp(0.3j)})
+    data = mf.ModularData(su22.labels, su22.zero, su22.dual, su22.S, theta, tol=su22.tol)
+    with pytest.raises(mf.InvalidModularData, match="indicator of '1' is .*, not within tolerance"):
+        mf.fs_indicators(data)
 
 
 def test_gauss_sum_modulus_matches_global_rank():

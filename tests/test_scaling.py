@@ -10,6 +10,7 @@ import modfunctor as mf
 from modfunctor.scaling import ScalingPair, SelfDualityData
 from modfunctor.surfaces import Component, Surface
 from conftest import get_family, get_fusion
+from lie_oracle import su_mu_tilde
 
 ROOT2 = float(np.sqrt(2.0))
 EIGHTH = 2.0 ** 0.125  # dim(1)^{1/4} in the three-label family below
@@ -148,7 +149,7 @@ def strict_pair(data, chi_values=None):
 def test_solve_strict_residuals(su23, su32):
     for data in (su23, su32):
         if data is su32:
-            vals = {lab: mf.su_mu_tilde(3, mf.parse_young_label(lab)) for lab in data.labels}
+            vals = {lab: su_mu_tilde(3, mf.parse_young_label(lab)) for lab in data.labels}
         else:
             vals = None
         sdd, chi, sp = strict_pair(data, vals)
@@ -203,7 +204,7 @@ def test_self_duality_scalar(su22, su31):
     one = mf.sphere_with_labels(["1"])
     assert abs(mf.self_duality_scalar(su22, sdd, sp, one) + 1.0) < 1e-14
 
-    vals = {lab: mf.su_mu_tilde(3, mf.parse_young_label(lab)) for lab in su31.labels}
+    vals = {lab: su_mu_tilde(3, mf.parse_young_label(lab)) for lab in su31.labels}
     sdd3, chi3, sp3 = strict_pair(su31, vals)
     allowed = mf.sphere_with_labels(["1", "1.1"])
     assert mf.state_dim(su31, get_fusion(su31), allowed) == 1
@@ -223,7 +224,7 @@ def test_unitary_rho_canonical(su22):
 
 
 def test_unitary_rho_strict(su32):
-    vals = {lab: mf.su_mu_tilde(3, mf.parse_young_label(lab)) for lab in su32.labels}
+    vals = {lab: su_mu_tilde(3, mf.parse_young_label(lab)) for lab in su32.labels}
     sdd, chi, sp = strict_pair(su32, vals)
     uu = ScalingPair(u=sp.u, w=sp.u)
     # per point the scalar is the character phase of the dual label
