@@ -4,7 +4,9 @@ Two construction routes are provided:
 
 * :func:`su_modular_data` builds the special-unitary family at a given
   level from Young-diagram labels, using the shifted-parts realization of
-  the affine character S-matrix (a determinant per matrix entry), and
+  the affine character S-matrix: each entry is a determinant of roots of
+  unity read from one table by integer exponent, and one determinant
+  serves each unordered pair of labels, and
 
 * :func:`simple_lie_modular_data` builds the same kind of data for any
   simple type of rank <= 4 by summing over the full Weyl group.
@@ -139,13 +141,22 @@ def young_dagger(N, diagram):
 
 
 def _su_weight_vectors(N, labels):
-    """Shifted-parts vectors lambda + rho in the N-coordinate model."""
-    rho = np.arange(N - 1, -1, -1, dtype=float)
-    X = np.zeros((len(labels), N))
+    """Shifted-parts vectors lambda + rho in the N-coordinate model, as int64."""
+    X = np.zeros((len(labels), N), dtype=np.int64)
     for a, lam in enumerate(labels):
         X[a, : len(lam.rows)] = lam.rows
-        X[a] += rho
-    return X
+    return X + np.arange(N - 1, -1, -1, dtype=np.int64)
+
+
+def _roots_of_unity(m, sign):
+    """e^{sign 2 pi i r/m} for r = 0..m-1, indexed by the residue r.
+
+    Evaluated in extended precision and rounded once, so each entry is the
+    nearest double (e^{2 pi i/3} has real part exactly -1/2); where long
+    double is plain double this is ordinary double precision.
+    """
+    angle = (sign * 2 * np.arccos(np.longdouble(-1)) / m) * np.arange(m, dtype=np.longdouble)
+    return np.cos(angle).astype(float) + 1j * np.sin(angle).astype(float)
 
 
 def _normalize_s(raw):
@@ -163,8 +174,12 @@ def su_modular_data(N, k, tol=DEFAULT_TOL):
 
     Labels are Young diagrams (see :func:`su_level_labels`), the dual map is
     :func:`young_dagger`, twists are e^{pi i <lambda, lambda+2 rho>/(k+N)} and
-    the S-matrix entries are Weyl-group alternating sums evaluated by an
-    N x N determinant per entry.  Desk scale only: N <= 6, k <= 8.
+    the S-matrix entries are Weyl-group alternating sums, each an N x N
+    determinant of kappa-th roots of unity e^{-2 pi i l_i m_j/kappa}
+    (kappa = k + N, l and m the integer vectors lambda + rho and mu + rho)
+    read from one table by the exponent l_i m_j mod kappa.  S is symmetric,
+    so one determinant serves each unordered pair of labels.  Desk scale
+    only: N <= 6, k <= 8.
     """
     if not (2 <= N <= _SU_MAX_N):
         raise ScaleLimit(f"N={N} outside supported range 2..{_SU_MAX_N}")
@@ -175,26 +190,31 @@ def su_modular_data(N, k, tol=DEFAULT_TOL):
     kappa = k + N
     X = _su_weight_vectors(N, labels)
     sums = X.sum(axis=1)
+    roots = _roots_of_unity(kappa, -1)
     raw = np.empty((n, n), dtype=complex)
-    # det[ e^{-2 pi i l_a m_b / kappa} ] with the traceless-projection prefactor,
-    # assembled in row chunks to bound the (chunk, n, N, N) workspace
-    chunk = max(1, int(2e6 // (n * N * N)))
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        block = np.exp(
-            (-2j * np.pi / kappa) * np.einsum("ai,bj->abij", X[start:stop], X)
-        )
-        raw[start:stop] = np.linalg.det(block)
-    raw *= np.exp(2j * np.pi * np.outer(sums, sums) / (N * kappa))
+    # det[ e^{-2 pi i l_a m_b / kappa} ] for a <= b, assembled in chunks of
+    # pairs to bound the (chunk, N, N) workspace, then mirrored
+    rows, cols = np.triu_indices(n)
+    chunk = max(1, int(2e6 // (N * N)))
+    for start in range(0, len(rows), chunk):
+        a, b = rows[start : start + chunk], cols[start : start + chunk]
+        dets = np.linalg.det(roots[(X[a, :, None] * X[b, None, :]) % kappa])
+        raw[a, b] = dets
+        raw[b, a] = dets
+    # traceless-projection prefactor e^{2 pi i |l| |m| / (N kappa)}
+    raw *= _roots_of_unity(N * kappa, 1)[np.outer(sums, sums) % (N * kappa)]
     S = _normalize_s(raw)
 
-    rho = np.arange(N - 1, -1, -1, dtype=float)
-    theta = {}
-    for lam in labels:
-        parts = np.zeros(N)
-        parts[: len(lam.rows)] = lam.rows
-        quad = parts @ (parts + 2 * rho) - parts.sum() * (parts + 2 * rho).sum() / N
-        theta[young_label(lam)] = cmath.exp(1j * math.pi * quad / kappa)
+    # theta = e^{2 pi i r/m} with m = 2 N kappa and r = N <lambda, lambda + 2 rho>
+    # in the traceless projection, the integer N (|l|^2 - |rho|^2) -
+    # |lambda| (|lambda| + N (N - 1)) for l = lambda + rho, reduced to |r| <= m/2
+    # so the float angle is at most pi; the unit label comes first, so X[0] = rho
+    rho = X[0]
+    size = sums - rho.sum()
+    m = 2 * N * kappa
+    r = (N * ((X * X).sum(axis=1) - rho @ rho) - size * (size + N * (N - 1))) % m
+    phases = np.exp((2j * np.pi / m) * np.where(2 * r > m, r - m, r))
+    theta = {young_label(lam): complex(t) for lam, t in zip(labels, phases)}
 
     names = [young_label(lam) for lam in labels]
     dual = {young_label(lam): young_label(young_dagger(N, lam)) for lam in labels}

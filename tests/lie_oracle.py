@@ -1,6 +1,9 @@
-"""Closed forms and the centre-grading oracle for the Lie families, kept for the tests.
+"""Closed forms and second routes for the Lie families, kept for the tests.
 
-None of these is read by the library.  :func:`su_mu_tilde` is the exact
+None of these is read by the library.  :func:`su_s_matrix_oracle` builds
+the special-unitary S-matrix by a float exponential and a determinant
+for every ordered pair of labels, and :func:`su_twist_oracle` its twists
+from the float quadratic form.  :func:`su_mu_tilde` is the exact
 |lambda|/N character of the special-unitary family, :func:`coupon_sign`
 evaluates the duality coupon scalar from its fractional powers of q, and
 :func:`lattice_fundamental_group` presents weight lattice / root lattice,
@@ -13,8 +16,52 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 import modfunctor as mf
 from modfunctor.characters import _smith
+
+
+def su_s_matrix_oracle(N, k):
+    """Unitary S-matrix of the rank-N family at level k, one float det per entry.
+
+    Entry (a, b) is det[e^{-2 pi i l_i m_j/kappa}] e^{2 pi i |l| |m|/(N kappa)}
+    with kappa = k + N and l, m the float vectors lambda + rho and mu + rho,
+    evaluated by complex exponentials for every ordered pair; the matrix is
+    then scaled to unit first row norm with S_00 > 0.
+    """
+    labels = mf.su_level_labels(N, k)
+    n = len(labels)
+    kappa = k + N
+    X = np.tile(np.arange(N - 1, -1, -1, dtype=float), (n, 1))
+    for a, lam in enumerate(labels):
+        X[a, : len(lam.rows)] += lam.rows
+    sums = X.sum(axis=1)
+    raw = np.empty((n, n), dtype=complex)
+    chunk = max(1, int(2e6 // (n * N * N)))
+    for start in range(0, n, chunk):
+        stop = min(n, start + chunk)
+        block = np.exp((-2j * np.pi / kappa) * np.einsum("ai,bj->abij", X[start:stop], X))
+        raw[start:stop] = np.linalg.det(block)
+    raw *= np.exp(2j * np.pi * np.outer(sums, sums) / (N * kappa))
+    raw /= raw[0, 0] / abs(raw[0, 0])
+    return raw / np.linalg.norm(raw[0])
+
+
+def su_twist_oracle(N, k):
+    """Twists e^{pi i q/kappa} by label, q = <lambda, lambda + 2 rho> in floats.
+
+    The form is the traceless projection of the N-coordinate one:
+    q = p.(p + 2 rho) - |p| (|p| + 2 |rho|)/N for the padded parts p.
+    """
+    rho = np.arange(N - 1, -1, -1, dtype=float)
+    out = {}
+    for lam in mf.su_level_labels(N, k):
+        p = np.zeros(N)
+        p[: len(lam.rows)] = lam.rows
+        q = p @ (p + 2 * rho) - p.sum() * (p + 2 * rho).sum() / N
+        out[mf.young_label(lam)] = cmath.exp(1j * math.pi * q / (k + N))
+    return out
 
 
 def su_mu_tilde(N, diagram):

@@ -152,6 +152,18 @@ def test_verify_reports_nonintegral_fusion(monkeypatch):
     assert report.machine["families"]["su 2 2"]["checks"]["fusion-integral"] is False
 
 
+def test_verify_reports_undecided_closed_form_as_failed_check(monkeypatch):
+    def undecided(data, surface):
+        raise mf.InvalidModularData("character sum is not an integer within tolerance")
+
+    monkeypatch.setattr(cli, "state_dim_verlinde", undecided)
+    code, report = run_command(["--json", "verify", "su", "2", "2"])
+    assert code == 1
+    checks = json.loads(report.human)["families"]["su 2 2"]["checks"]
+    assert checks["oracle-equivalence"] is False
+    assert all(ok for name, ok in checks.items() if name != "oracle-equivalence")
+
+
 def test_verify_file_failing_validation_fails_checks(tmp_path):
     code, report = run_command(["export", "su", "2", "2"])
     doc = json.loads(report.human)

@@ -13,9 +13,16 @@ import numpy as np
 import pytest
 
 import modfunctor as mf
+from modfunctor.families import BUILTIN_SU
 from modfunctor.lie import LieData, alcove_weights, weight_label
 from conftest import get_family, get_fusion
-from lie_oracle import coupon_sign, lattice_fundamental_group, su_mu_tilde
+from lie_oracle import (
+    coupon_sign,
+    lattice_fundamental_group,
+    su_mu_tilde,
+    su_s_matrix_oracle,
+    su_twist_oracle,
+)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -39,6 +46,27 @@ def test_su2_twists_match_conformal_weights():
         for a in range(k + 1):
             want = np.exp(2j * np.pi * a * (a + 2) / (4.0 * (k + 2)))
             assert abs(data.theta[str(a)] - want) < 1e-12
+
+
+# the su families of the benchmark's large-fusion workload, n = 84 to 210
+LARGE_SU = ((4, 6), (5, 4), (4, 7), (5, 5), (4, 8), (5, 6))
+
+
+@pytest.mark.parametrize("N, k", BUILTIN_SU + LARGE_SU)
+def test_su_s_matrix_matches_per_entry_oracle(N, k):
+    S = get_family("su", N, k).S
+    oracle = su_s_matrix_oracle(N, k)
+    assert np.max(np.abs(S - oracle)) < 1e-13
+    assert np.array_equal(S, S.T)  # one determinant per unordered pair
+    eye = np.eye(len(S))
+    assert np.max(np.abs(S @ S.conj().T - eye)) <= np.max(np.abs(oracle @ oracle.conj().T - eye))
+
+
+@pytest.mark.parametrize("N, k", BUILTIN_SU + LARGE_SU)
+def test_su_twists_match_float_form(N, k):
+    theta = get_family("su", N, k).theta
+    for lab, want in su_twist_oracle(N, k).items():
+        assert abs(theta[lab] - want) < 1e-13
 
 
 def test_su_labels_and_counts():
