@@ -63,7 +63,6 @@ from .scaling import (
     pairing_normalization,
     quasi_iso_gamma,
     s_factor,
-    s_factors,
     same_component_factor,
     self_duality_scalar,
     solve_canonical,

@@ -49,7 +49,7 @@ from .scaling import (
     ScalingPair,
     SelfDualityData,
     mu_scaled,
-    s_factors,
+    s_factor,
     self_duality_scalar,
     solve_canonical,
     solve_strict,
@@ -283,8 +283,8 @@ def _cmd_scaling(args, tol):
     else:
         sp = solve_canonical(data, sdd)
     residual = 0.0
-    for lab, factor in s_factors(data, sp).items():
-        residual = max(residual, abs(sp.u[lab] - factor * sp.w[lab]))
+    for lab in data.labels:
+        residual = max(residual, abs(sp.u[lab] - s_factor(data, sp, lab) * sp.w[lab]))
     pair_res = 0.0
     for lab in data.labels:
         pair_res = max(
@@ -299,13 +299,13 @@ def _cmd_scaling(args, tol):
         scalar = self_duality_scalar(data, sdd, sp, a)
         nu = symplectic_multiplicity(data, sdd, a)
         sign_checks.append(abs(scalar - (-1.0) ** nu) if args.mode == "canonical" else abs(abs(scalar) - 1.0))
-    z = {lab: z_of_label(data, lab) for lab in data.labels}
+    zvals = {lab: _cpair(z_of_label(data, lab)) for lab in data.labels}
     machine = {
         "family": meta["family"],
         "mode": args.mode,
         "u": {lab: _cpair(sp.u[lab]) for lab in data.labels},
         "w": {lab: _cpair(sp.w[lab]) for lab in data.labels},
-        "z": {lab: _cpair(z[lab]) for lab in data.labels},
+        "z": zvals,
         "max_residual": residual,
         "max_pair_residual": pair_res,
         "max_sign_check": max(sign_checks),
@@ -319,7 +319,7 @@ def _cmd_scaling(args, tol):
     for lab in data.labels:
         lines.append(
             f"  {lab:>10}  u={_fmt_complex(sp.u[lab])}  w={_fmt_complex(sp.w[lab])}"
-            f"  Z={_fmt_complex(z[lab])}"
+            f"  Z={_fmt_complex(z_of_label(data, lab))}"
         )
     ok = residual < 1e-9 and pair_res < 1e-9
     return (0 if ok else 1), Report(machine, "\n".join(lines))
@@ -358,10 +358,13 @@ def _verify_family(data):
     checks["twice-punctured-sphere"] = ok_twice
     torus = Surface(components=(Component(genus=1, points=()),))
     checks["torus-dim"] = state_dim(data, fusion, torus) == n
-    D = global_D(data).real
-    checks["gauss-modulus"] = abs(abs(gauss_sum_delta(data)) - D) < 1e-6 * max(1.0, D)
+    checks["gauss-modulus"] = abs(abs(gauss_sum_delta(data)) - global_D(data).real) < 1e-6 * max(
+        1.0, global_D(data).real
+    )
     sp = solve_canonical(data, SelfDualityData.defaults(data))
-    residual = max(abs(sp.u[lab] - f * sp.w[lab]) for lab, f in s_factors(data, sp).items())
+    residual = max(
+        abs(sp.u[lab] - s_factor(data, sp, lab) * sp.w[lab]) for lab in data.labels
+    )
     checks["canonical-residual"] = residual < 1e-12
     rng = np.random.default_rng(11)
     glue_ok = True

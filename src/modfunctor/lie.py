@@ -151,9 +151,11 @@ def _su_weight_vectors(N, labels):
 def _roots_of_unity(m, sign):
     """e^{sign 2 pi i r/m} for r = 0..m-1, indexed by the residue r.
 
-    Evaluated in extended precision and rounded once, so each entry is the
-    nearest double (e^{2 pi i/3} has real part exactly -1/2); where long
-    double is plain double this is ordinary double precision.
+    Evaluated in long double and rounded once, so where long double is wider
+    than double (x86-64 Linux) each entry is the nearest double
+    (e^{2 pi i/3} has real part exactly -1/2).  Where long double is plain
+    double (Windows, macOS on arm64) the entries carry ordinary double
+    rounding, and S may come out a few ulp less unitary than that.
     """
     angle = (sign * 2 * np.arccos(np.longdouble(-1)) / m) * np.arange(m, dtype=np.longdouble)
     return np.cos(angle).astype(float) + 1j * np.sin(angle).astype(float)
@@ -208,7 +210,9 @@ def su_modular_data(N, k, tol=DEFAULT_TOL):
     # theta = e^{2 pi i r/m} with m = 2 N kappa and r = N <lambda, lambda + 2 rho>
     # in the traceless projection, the integer N (|l|^2 - |rho|^2) -
     # |lambda| (|lambda| + N (N - 1)) for l = lambda + rho, reduced to |r| <= m/2
-    # so the float angle is at most pi; the unit label comes first, so X[0] = rho
+    # so the float angle is at most pi; the unit label comes first, so X[0] = rho.
+    # Not read from _roots_of_unity: its separately rounded cos and sin leave
+    # |theta| an ulp off 1 on some families where this route gives exactly 1
     rho = X[0]
     size = sums - rho.sum()
     m = 2 * N * kappa

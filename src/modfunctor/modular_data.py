@@ -298,8 +298,12 @@ def quantum_dims(data):
 
 
 def quantum_dim(data, i):
-    """Quantum dimension of one label."""
-    return complex(quantum_dims(data)[data.index(i)])
+    """Quantum dimension of one label, S_{0i}/S_{00}."""
+    z = data.index(data.zero)
+    s00 = data.S[z, z]
+    if abs(s00) <= data.tol:
+        raise InvalidModularData("S_{00} vanishes; quantum dimensions undefined")
+    return complex(data.S[z, data.index(i)] / s00)
 
 
 def global_D(data):

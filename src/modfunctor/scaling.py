@@ -22,14 +22,13 @@ import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .modular_data import InvalidModularData, fs_indicators, global_D, quantum_dim, quantum_dims
+from .modular_data import InvalidModularData, fs_indicators, global_D, quantum_dim
 
 __all__ = [
     "ScalingPair",
     "SelfDualityData",
     "pair_key",
     "s_factor",
-    "s_factors",
     "pairing_normalization",
     "strict_gluing_normalization",
     "same_component_factor",
@@ -105,27 +104,13 @@ def _sqrt_dim(data, i):
     return cmath.sqrt(quantum_dim(data, i))
 
 
-def _sqrt_dims(data):
-    """Principal square root of every quantum dimension, by label, from one read of S."""
-    return {lab: cmath.sqrt(complex(d)) for lab, d in zip(data.labels, quantum_dims(data))}
-
-
-def _s_factor(data, sp, i, sqrt_dim):
-    return (
-        _pair_root(sp.w, sp.sqrt_ww, data, i)
-        * sqrt_dim
-        / _pair_root(sp.u, sp.sqrt_uu, data, i)
-    )
-
-
 def s_factor(data, sp, i):
     """The per-label scale sqrt(w_i w_{i*}) sqrt(dim i) / sqrt(u_i u_{i*})."""
-    return _s_factor(data, sp, i, _sqrt_dim(data, i))
-
-
-def s_factors(data, sp):
-    """:func:`s_factor` of every label, by label, reading the quantum dimensions once."""
-    return {lab: _s_factor(data, sp, lab, r) for lab, r in _sqrt_dims(data).items()}
+    return (
+        _pair_root(sp.w, sp.sqrt_ww, data, i)
+        * _sqrt_dim(data, i)
+        / _pair_root(sp.u, sp.sqrt_uu, data, i)
+    )
 
 
 def pairing_normalization(data, sp, a):
@@ -189,8 +174,9 @@ def solve_canonical(data, sdd):
         if data.dual_index(i) != i and abs(sdd.mu[lab] - 1) > data.tol:
             raise InvalidModularData(f"canonical solution needs mu({lab!r}) = 1 on non-self-dual labels")
     u, w, suu, sww = {}, {}, {}, {}
-    for lab, sqrt_dim in _sqrt_dims(data).items():
-        u[lab] = cmath.sqrt(sqrt_dim)
+    for i, lab in enumerate(data.labels):
+        root = cmath.sqrt(_sqrt_dim(data, lab))
+        u[lab] = root
         w[lab] = 1.0 + 0j
     for lab in data.labels:
         key = pair_key(data, lab)
@@ -247,14 +233,13 @@ def solve_strict(data, sdd, chi):
             seen.add(lab)
             seen.add(other)
 
-    sqrt_dims = _sqrt_dims(data)
     u, w, suu, sww = {}, {}, {}, {}
     for i, lab in enumerate(data.labels):
         j = data.dual_index(i)
         if i == j:
             # eta = sqrt(chi-phase) * sqrt(mu) with sqrt(mu) = 1/root -> w = 1
             w[lab] = 1.0 + 0j
-            u[lab] = cmath.sqrt(sqrt_dims[lab])
+            u[lab] = cmath.sqrt(_sqrt_dim(data, lab))
         else:
             w[lab] = root[lab]  # sqrt(mu) = 1 there
     phase = {lab: root[lab] ** 2 for lab in data.labels}
@@ -264,7 +249,7 @@ def solve_strict(data, sdd, chi):
         other = data.labels[j]
         if i == j or lab in done:
             continue
-        u[lab] = cmath.sqrt(sqrt_dims[lab] * w[lab] / root[other])
+        u[lab] = cmath.sqrt(_sqrt_dim(data, lab) * w[lab] / root[other])
         u[other] = u[lab] * phase[other]
         done.add(lab)
         done.add(other)

@@ -261,6 +261,9 @@ def state_dim_verlinde(data, a, atol=None):
 
     Independent of :func:`state_dim`: evaluated over the complex S-matrix and
     rounded, with an integrality check within `atol` (default `data.tol`).
+    A sum whose double spacing exceeds that tolerance (from about 2^51 on)
+    is refused, since every double there is an integer or a half and the
+    check could not fail.
     """
     if atol is None:
         atol = data.tol
@@ -274,7 +277,10 @@ def state_dim_verlinde(data, a, atol=None):
             term = term * data.S[data.index(p.label), :]
         val = complex(np.sum(term))
         nearest = round(val.real)
-        if abs(val - nearest) > _integer_tolerance(atol, float(np.sum(np.abs(term)))):
+        tol = _integer_tolerance(atol, float(np.sum(np.abs(term))))
+        if np.spacing(abs(val.real)) > tol:
+            raise InvalidModularData(f"character sum {val} is too large to decide an integer in double precision")
+        if abs(val - nearest) > tol:
             raise InvalidModularData(f"character sum {val} is not an integer within tolerance")
         out *= int(nearest)
     return out

@@ -59,7 +59,10 @@ def test_su_s_matrix_matches_per_entry_oracle(N, k):
     assert np.max(np.abs(S - oracle)) < 1e-13
     assert np.array_equal(S, S.T)  # one determinant per unordered pair
     eye = np.eye(len(S))
-    assert np.max(np.abs(S @ S.conj().T - eye)) <= np.max(np.abs(oracle @ oracle.conj().T - eye))
+    # a few ulp of slack: where long double is plain double the table is not
+    # correctly rounded (see lie._roots_of_unity)
+    slack = 4 * np.finfo(float).eps
+    assert np.max(np.abs(S @ S.conj().T - eye)) <= np.max(np.abs(oracle @ oracle.conj().T - eye)) + slack
 
 
 @pytest.mark.parametrize("N, k", BUILTIN_SU + LARGE_SU)

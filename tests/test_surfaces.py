@@ -180,6 +180,17 @@ def test_verlinde_rejects_bad_s(su22):
         mf.state_dim_verlinde(bad, Surface((Component(2),)))
 
 
+def test_verlinde_refuses_sums_beyond_double_precision(su22):
+    fusion = get_fusion(su22)
+    # sum_r S_{0r}^{2-2g} = 2^{2g-1} + 2^{g-1} on su 2 2
+    below = Surface((Component(25),))
+    assert mf.state_dim_verlinde(su22, below) == mf.state_dim(su22, fusion, below) == 2**49 + 2**24
+    above = Surface((Component(33),))
+    assert mf.state_dim(su22, fusion, above) == 2**65 + 2**32
+    with pytest.raises(mf.InvalidModularData, match="double precision"):
+        mf.state_dim_verlinde(su22, above)
+
+
 def test_check_gluing_dimension(su22):
     fusion = get_fusion(su22)
     a = mf.sphere_with_labels(["1", "1", "0", "0"])
