@@ -25,6 +25,7 @@ targets do not, which any skeptical caller can re-verify.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -282,14 +283,15 @@ def dual_group(data, fusion):
 
 
 def _character_from_coords(pres, coords):
-    vals = {}
-    for lab in pres.labels:
-        img = pres.label_image[lab]
-        total = Fraction(0)
-        for c, v, d in zip(coords, img, pres.invariant_factors):
-            total += Fraction(c * v, d)
-        vals[lab] = total % 1
-    return GroupCharacter(vals)
+    """The character sum_j c_j v_j / d_j mod 1, summed in integers over the exponent."""
+    exponent = math.lcm(*pres.invariant_factors)
+    weights = [c * (exponent // d) for c, d in zip(coords, pres.invariant_factors)]
+    return GroupCharacter(
+        {
+            lab: Fraction(sum(w * v for w, v in zip(weights, pres.label_image[lab])) % exponent, exponent)
+            for lab in pres.labels
+        }
+    )
 
 
 def generator_characters(pres):
@@ -329,32 +331,12 @@ def find_fundamental_symplectic_character(data, fusion=None, pres=None):
     if pres.torsion_order > _ENUM_CAP:
         raise ScaleLimit(f"character enumeration over order {pres.torsion_order} exceeds cap")
     targets = _indicator_targets(data)
-    best = None
-    best_coords = None
-    for coords in product(*[range(d) for d in pres.invariant_factors]):
-        ok = True
-        for lab, want in targets.items():
-            img = pres.label_image[lab]
-            total = Fraction(0)
-            for c, v, d in zip(coords, img, pres.invariant_factors):
-                total += Fraction(c * v, d)
-            if total % 1 != want:
-                ok = False
-                break
-        if ok:
-            key = tuple(
-                sum(
-                    (Fraction(c * v, d) for c, v, d in zip(coords, pres.label_image[lab], pres.invariant_factors)),
-                    Fraction(0),
-                )
-                % 1
-                for lab in pres.labels
-            )
-            if best is None or key < best:
-                best = key
-                best_coords = coords
-    if best_coords is not None:
-        return _character_from_coords(pres, best_coords)
+    every = product(*[range(d) for d in pres.invariant_factors])
+    candidates = (_character_from_coords(pres, coords) for coords in every)
+    solutions = (chi for chi in candidates if all(chi(lab) == want for lab, want in targets.items()))
+    best = min(solutions, key=lambda chi: [chi(lab) for lab in pres.labels], default=None)
+    if best is not None:
+        return best
     return _build_certificate(pres, targets)
 
 

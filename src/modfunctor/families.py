@@ -3,7 +3,7 @@
 A family is selected by whitespace tokens:
 
     su <N> <level>          special-unitary family
-    lie <TYPE> <rank> <level>   simple type (A..G) at a level
+    lie <TYPE> <rank> <level>   simple type (A-D, F, G; rank <= 4) at a level
     file <path>             JSON document on disk
 
 `parse_family` turns tokens into validated modular data plus metadata

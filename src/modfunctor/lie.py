@@ -38,14 +38,12 @@ __all__ = [
     "su_modular_data",
     "LieData",
     "weight_label",
-    "parse_weight_label",
     "alcove_weights",
     "simple_lie_modular_data",
 ]
 
 _SU_MAX_N = 6
 _SU_MAX_K = 8
-_WEYL_CAP = 10**6
 _LIE_TERM_CAP = 10**7
 
 
@@ -234,7 +232,6 @@ _CLASSICAL_WEYL_ORDER = {
     "B": lambda r: 2**r * math.factorial(r),
     "C": lambda r: 2**r * math.factorial(r),
     "D": lambda r: 2 ** (r - 1) * math.factorial(r),
-    "E": lambda r: {6: 51840, 7: 2903040, 8: 696729600}[r],
     "F": lambda r: 1152,
     "G": lambda r: 12,
 }
@@ -279,13 +276,6 @@ def _cartan_matrix(cartan_type, rank):
             bond(i, i + 1)
         bond(rank - 3, rank - 1)
         d = [Fraction(1)] * rank
-    elif t == "E":
-        if rank not in (6, 7, 8):
-            raise InvalidModularData("type E needs rank 6, 7 or 8")
-        edges = [(1, 3), (3, 4), (4, 5), (5, 6), (2, 4), (6, 7), (7, 8)]
-        for a, b in edges[: rank - 1]:
-            bond(a - 1, b - 1)
-        d = [Fraction(1)] * rank
     elif t == "F":
         if rank != 4:
             raise InvalidModularData("type F needs rank 4")
@@ -301,7 +291,7 @@ def _cartan_matrix(cartan_type, rank):
     return A, tuple(d)
 
 
-def _enumerate_weyl(A, cap=_WEYL_CAP):
+def _enumerate_weyl(A):
     """All Weyl elements as integer matrices on weight coordinates, with signs.
 
     The simple reflection s_i acts by x -> x - x_i * alpha_i where alpha_i is
@@ -329,14 +319,14 @@ def _enumerate_weyl(A, cap=_WEYL_CAP):
                     item = (M2, -sgn)
                     elements.append(item)
                     nxt.append(item)
-                    if len(elements) > cap:
-                        raise ScaleLimit(f"Weyl group larger than cap {cap}")
         frontier = nxt
     return elements
 
 
 class LieData:
     """Root-system data of one simple type, with the Weyl group fully enumerated.
+
+    Rank is at most 4; a larger rank raises :class:`ScaleLimit` at once.
 
     Attributes
     ----------
@@ -358,6 +348,8 @@ class LieData:
         level = int(level)
         if level < 0:
             raise InvalidModularData("level must be nonnegative")
+        if rank > 4:  # before the Weyl group is enumerated
+            raise ScaleLimit("general constructor limited to rank <= 4")
         self.cartan_type = cartan_type
         self.rank = rank
         self.level = level
@@ -366,8 +358,6 @@ class LieData:
         self.form = np.diag(dv) @ np.linalg.inv(self.cartan)
         self.rho = np.ones(rank)
         expected = _CLASSICAL_WEYL_ORDER[cartan_type](rank)
-        if expected > _WEYL_CAP:
-            raise ScaleLimit(f"Weyl group order {expected} exceeds cap {_WEYL_CAP}")
         self.weyl = _enumerate_weyl(self.cartan)
         if len(self.weyl) != expected:
             raise InvalidModularData(
@@ -418,16 +408,6 @@ def weight_label(weight):
     return ".".join(str(int(a)) for a in weight)
 
 
-def parse_weight_label(text, rank):
-    parts = text.strip().split(".")
-    if len(parts) != rank:
-        raise InvalidModularData(f"weight label {text!r} does not have {rank} coordinates")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise InvalidModularData(f"cannot parse weight label {text!r}") from None
-
-
 def alcove_weights(ld):
     """Dominant weights with <lambda, theta_check> <= level.
 
@@ -454,11 +434,9 @@ def alcove_weights(ld):
 def simple_lie_modular_data(ld, tol=DEFAULT_TOL):
     """Modular data of a simple type at its level, summed over the Weyl group.
 
-    Limited to rank <= 4 and |W| * |labels|^2 <= 1e7 terms; raises
-    :class:`ScaleLimit` beyond that.
+    Limited to |W| * |labels|^2 <= 1e7 terms (and, by :class:`LieData`, to
+    rank <= 4); raises :class:`ScaleLimit` beyond that.
     """
-    if ld.rank > 4:
-        raise ScaleLimit("general constructor limited to rank <= 4")
     weights = alcove_weights(ld)
     n = len(weights)
     if len(ld.weyl) * n * n > _LIE_TERM_CAP:

@@ -7,8 +7,9 @@ state-space dimensions, character groups, scaling solvers) is computed
 from these four pieces of data.  The handle operator ``FusionTensor.handle``
 and the indicators (:func:`fs_indicators`) are closed forms in S.
 :func:`verlinde_fusion` checks every fusion coefficient once and returns a
-:class:`FusionTensor` that is read by slice N[:, j, :], built when first
-read; only identity checks stack the dense n^3 tensor ``FusionTensor.N``.
+:class:`FusionTensor`, which the library reads only by slice N[:, j, :],
+each built when first read; nothing in the library stacks the dense n^3
+tensor.
 
 Construction performs *structural* checks only (shapes, bijectivity,
 label consistency, finite entries) and raises :class:`InvalidModularData`
@@ -167,8 +168,9 @@ class FusionTensor:
 
     `slice(j)` is N[:, j, :], the int64 matrix (N_j)_{xy} = N_{xj}^y; it is
     built by `slice_of(j)` on first use and cached, with its largest column
-    sum in `column_max[j]`.  `N` stacks every slice once, on first access,
-    for identities that need the whole tensor.  `handle` is the integer
+    sum in `column_max[j]`.  It is the one access format: the fusion
+    identities and the recursion all read slices.  `N` is the dense stack,
+    kept only for the tests and the benchmark.  `handle` is the integer
     handle operator H = sum_j N_j N_{j*}; H_{xy} is the dimension of the
     torus with points x and dual(y), and `handle_column_max` its largest
     column sum.
@@ -200,17 +202,15 @@ class FusionTensor:
 
     @property
     def N(self):
-        """The dense (n, n, n) tensor, stacked from the slices on first access.
+        """The read-only dense (n, n, n) tensor, built from `slice_of` on first access.
 
-        The cached slices then become views of it, so each is stored once.
+        Cached on its own: it neither reads nor fills the slice cache.
         """
         if self._N is None:
             n = len(self.labels)
             N = np.empty((n, n, n), dtype=np.int64)
             for j in range(n):
-                N[:, j, :] = self.slice(j)
-                self._slices[j] = N[:, j, :]
-                self._slices[j].setflags(write=False)
+                N[:, j, :] = self._slice_of(j)
             N.setflags(write=False)
             self._N = N
         return self._N

@@ -117,15 +117,16 @@ class LatticeGroup:
         return n
 
 
-def lattice_fundamental_group(ld):
+def lattice_fundamental_group(cartan):
     """Quotient of the weight lattice by the root lattice as a :class:`LatticeGroup`.
 
     Computed as the cokernel of the Cartan matrix (whose columns are the
     simple roots in weight coordinates) via Smith normal form.
     """
-    snf, left, _right = _smith(ld.cartan)
-    diag = [abs(int(snf[i, i])) for i in range(ld.rank)]
+    rank = cartan.shape[0]
+    snf, left, _right = _smith(cartan)
+    diag = [abs(int(snf[i, i])) for i in range(rank)]
     kept = [i for i, x in enumerate(diag) if x > 1]
     factors = tuple(diag[i] for i in kept)
-    rows = tuple(tuple(int(left[i, j]) for j in range(ld.rank)) for i in kept)
+    rows = tuple(tuple(int(left[i, j]) for j in range(rank)) for i in kept)
     return LatticeGroup(invariant_factors=factors, _transform=rows)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import modfunctor as mf
-from modfunctor import characters
+from modfunctor import characters, lie
 from modfunctor.characters import (
     GroupCharacter,
     _build_certificate,
@@ -266,8 +266,8 @@ def _family_matrices():
         su31 = get_family("su", 3, 1)
         _build_certificate(dual_group(su31, get_fusion(su31)), {"0": Fraction(1, 2)})
     types = {("A", N - 1) for N, _k in mf.BUILTIN_SU} | {(t, r) for t, r, _level in mf.BUILTIN_LIE}
-    types.add(("D", 5))
     seen += [np.array(LieData(t, r, 1).cartan, dtype=np.int64) for t, r in sorted(types)]
+    seen.append(np.array(lie._cartan_matrix("D", 5)[0], dtype=np.int64))  # LieData refuses rank 5
     return tuple(seen)
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import modfunctor as mf
@@ -214,6 +215,94 @@ def test_dims_builds_only_the_slice_it_reads(monkeypatch):
     monkeypatch.setattr(mf.FusionTensor, "__init__", counting_init)
     assert run_command(["dims", "su", "4", "5", "--surface", "g=2[1,1]"])[0] == 0
     assert built == [get_family("su", 4, 5).index("1")]
+
+
+def test_verify_reads_no_dense_tensor(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense fusion tensor read")
+
+    monkeypatch.setattr(mf.FusionTensor, "N", property(refuse))
+    code, report = run_command(["verify", "su", "4", "5"])
+    assert code == 0
+    assert all(report.machine["families"]["su 4 5"]["checks"].values())
+
+
+def _dense_identity_flags(data, N):
+    """The four fusion identities written on the dense stack N[i, j, k] = N_{ij}^k."""
+    n = data.n
+    z = data.index(data.zero)
+    dual = [data.dual_index(i) for i in range(n)]
+    eye = np.eye(n, dtype=N.dtype)
+    return {
+        "fusion-unit": np.array_equal(N[z], eye),
+        "fusion-duality": np.array_equal(N[:, :, z], eye[dual]),
+        "fusion-commutative": np.array_equal(N, N.transpose(1, 0, 2)),
+        # N_{xj}^y = N_{y j*}^x; agrees with N_{ij}^k = N_{i* k}^j on commutative tensors
+        "fusion-rigidity": np.array_equal(N, N[:, dual].transpose(2, 1, 0)),
+    }
+
+
+def _corrupt_unit_row(N, z):
+    N[z, 1, 1], N[z, 1, 2] = 0, 1
+
+
+def _corrupt_duality_column(N, z):
+    N[1, 1, z] += 1
+
+
+def _corrupt_one_entry(N, z):
+    N[0, 1, 1] += 1
+
+
+def _corrupt_symmetric_pair(N, z):  # stays commutative, breaks rigidity only
+    N[1, 2, 1] += 1
+    N[2, 1, 1] += 1
+
+
+@pytest.mark.parametrize("family", [("su", 2, 2), ("su", 3, 2)])
+@pytest.mark.parametrize(
+    "corrupt", [None, _corrupt_unit_row, _corrupt_duality_column, _corrupt_one_entry, _corrupt_symmetric_pair]
+)
+def test_verify_fusion_identities_match_dense_oracle(monkeypatch, family, corrupt):
+    data = get_family(*family)
+    true = mf.verlinde_fusion(data)
+    N = np.array(true.N)
+    if corrupt is not None:
+        corrupt(N, data.index(data.zero))
+    broken = mf.FusionTensor(data.labels, lambda j: N[:, j, :].copy(), true.handle)
+    monkeypatch.setattr(cli, "verlinde_fusion", lambda data: broken)
+    checks = cli._verify_family(data)
+    want = _dense_identity_flags(data, N)
+    assert {name: checks[name] for name in want} == want
+    assert all(want.values()) == (corrupt is None)
+    # the n^2 twice-punctured spheres of the recursion, asked one by one
+    twice = all(
+        mf.state_dim(data, broken, mf.sphere_with_labels([a, b])) == (b == data.dual[a])
+        for a in data.labels
+        for b in data.labels
+    )
+    assert checks["twice-punctured-sphere"] == twice == want["fusion-duality"]
+
+
+def test_verify_gluing_draws_are_distinct_identities(monkeypatch):
+    seen = []
+    real = cli.check_gluing_dimension
+
+    def record(data, fusion, a, p, q):
+        seen.append((a, p, q))
+        return real(data, fusion, a, p, q)
+
+    monkeypatch.setattr(cli, "check_gluing_dimension", record)
+    data = get_family("su", 3, 2)
+    code, report = run_command(["verify", "su", "3", "2"])
+    assert code == 0 and report.machine["families"]["su 3 2"]["checks"]["gluing-dimension"]
+    rng = np.random.default_rng(11)  # the draws of _verify_family
+    drawn = [[data.labels[int(t)] for t in rng.integers(0, data.n, size=2)] for _ in range(4)]
+    assert len(seen) == 4
+    for (a, p, q), labs in zip(seen, drawn):
+        (component,) = a.components
+        kept = [pt.label for pt in component.points if pt.id not in (p, q)]
+        assert component.genus == 1 and kept == labs
 
 
 def test_mf_tol_env(monkeypatch):

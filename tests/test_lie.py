@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import modfunctor as mf
+from modfunctor import lie
+from modfunctor.cli import run_command
 from modfunctor.families import BUILTIN_SU
 from modfunctor.lie import LieData, alcove_weights, weight_label
 from conftest import get_family, get_fusion
@@ -129,7 +131,7 @@ def test_scale_limits():
     with pytest.raises(mf.ScaleLimit):
         mf.su_modular_data(2, 9)
     with pytest.raises(mf.ScaleLimit):
-        LieData("E", 8, 1)  # Weyl order ~7e8 over the enumeration cap
+        LieData("E", 8, 1)  # rank 8: refused before its Weyl group (order ~7e8) is enumerated
     ld6 = LieData("A", 2, 1)
     assert len(ld6.weyl) == 6
 
@@ -205,16 +207,16 @@ def test_a_series_matches_partition_model():
 
 
 def test_lattice_fundamental_groups():
-    assert lattice_fundamental_group(LieData("A", 2, 1)).invariant_factors == (3,)
-    assert lattice_fundamental_group(LieData("A", 3, 1)).invariant_factors == (4,)
-    assert lattice_fundamental_group(LieData("D", 4, 1)).invariant_factors == (2, 2)
-    assert lattice_fundamental_group(LieData("G", 2, 1)).invariant_factors == ()
-    assert lattice_fundamental_group(LieData("B", 3, 1)).invariant_factors == (2,)
-    assert lattice_fundamental_group(LieData("D", 5, 1)).invariant_factors == (4,)
+    assert lattice_fundamental_group(LieData("A", 2, 1).cartan).invariant_factors == (3,)
+    assert lattice_fundamental_group(LieData("A", 3, 1).cartan).invariant_factors == (4,)
+    assert lattice_fundamental_group(LieData("D", 4, 1).cartan).invariant_factors == (2, 2)
+    assert lattice_fundamental_group(LieData("G", 2, 1).cartan).invariant_factors == ()
+    assert lattice_fundamental_group(LieData("B", 3, 1).cartan).invariant_factors == (2,)
+    assert lattice_fundamental_group(lie._cartan_matrix("D", 5)[0]).invariant_factors == (4,)
 
 
 def test_lattice_group_projection():
-    group = lattice_fundamental_group(LieData("A", 2, 1))
+    group = lattice_fundamental_group(LieData("A", 2, 1).cartan)
     # the two fundamental weights generate opposite classes mod 3
     a = group.project((1, 0))
     b = group.project((0, 1))
@@ -222,6 +224,14 @@ def test_lattice_group_projection():
     assert [(x + y) % d for x, y, d in zip(a, b, group.invariant_factors)] == [0]
 
 
-def test_simple_lie_rank_guard():
-    with pytest.raises(mf.ScaleLimit):
-        mf.simple_lie_modular_data(LieData("D", 5, 1))
+def test_simple_lie_rank_guard(monkeypatch):
+    # refused before the Weyl group is enumerated: E 6 alone has 51,840 elements
+    def refuse(A):
+        raise AssertionError("Weyl group enumerated")
+
+    monkeypatch.setattr(lie, "_enumerate_weyl", refuse)
+    for cartan_type, rank in (("D", 5), ("E", 6), ("E", 8)):
+        with pytest.raises(mf.ScaleLimit):
+            LieData(cartan_type, rank, 1)
+    code, report = run_command(["info", "lie", "E", "6", "1"])
+    assert code == 2 and "rank <= 4" in report.machine["error"]

@@ -183,6 +183,14 @@ def test_fusion_slices_and_stack_match_eager_oracle(tokens):
     assert np.array_equal(slices_first.N, want)
 
 
+def test_dense_stack_is_cached_read_only_and_apart_from_slices(su32):
+    fusion = mf.verlinde_fusion(su32)
+    N = fusion.N
+    assert fusion.N is N and not N.flags.writeable
+    assert fusion.column_max == {}  # the slice cache stays empty
+    assert not np.shares_memory(fusion.slice(1), N)
+
+
 def test_negative_coefficient_error_names_a_negative_triple(su32):
     # D S D with D = diag(+-1) keeps S symmetric, unitary and the Verlinde sums
     # integral, but negates N_ij^k whenever an odd number of i, j, k is flipped
