@@ -348,11 +348,14 @@ def _verify_family(data):
     # N_{ij}^k = N_{i* k}^j read on slices as N_{xj}^y = N_{y j*}^x, that is
     # M_j = M_{j*}^T; the two statements agree once commutativity holds
     checks["fusion-rigidity"] = all(np.array_equal(M[j], M[dual[j]].T) for j in range(n))
-    ok_once = all(
-        state_dim(data, fusion, sphere_with_labels([lab])) == (1 if lab == data.zero else 0)
+    # the unit-point axiom dim(0; i, 0) = dim(0; i) = [i = 0]: the one-point
+    # sphere is e_i[0] and reads no slice, the two-point one reads N_0
+    checks["once-punctured-sphere"] = all(
+        state_dim(data, fusion, sphere_with_labels([lab, data.zero]))
+        == state_dim(data, fusion, sphere_with_labels([lab]))
+        == (lab == data.zero)
         for lab in data.labels
     )
-    checks["once-punctured-sphere"] = ok_once
     # the recursion reads dim(0; a, b) as N_{ab}^0, so the twice-punctured
     # sphere compares exactly the integers that fusion-duality compares
     checks["twice-punctured-sphere"] = checks["fusion-duality"]

@@ -5,8 +5,9 @@ Two construction routes are provided:
 * :func:`su_modular_data` builds the special-unitary family at a given
   level from Young-diagram labels, using the shifted-parts realization of
   the affine character S-matrix: each entry is a determinant of roots of
-  unity read from one table by integer exponent, and one determinant
-  serves each unordered pair of labels, and
+  unity read from one kappa x kappa phase table, and one determinant
+  serves each unordered pair of labels, built one row of the upper
+  triangle at a time, and
 
 * :func:`simple_lie_modular_data` builds the same kind of data for any
   simple type of rank <= 4 by summing over the full Weyl group.
@@ -160,13 +161,12 @@ def _roots_of_unity(m, sign):
 
 
 def _normalize_s(raw):
-    """Scale a proportional S-matrix to the unitary one with positive first row."""
-    phase = raw[0, 0] / abs(raw[0, 0])
-    flat = raw / phase
-    S = flat / np.linalg.norm(flat[0])
-    if np.max(np.abs(S[0].imag)) > 1e-8 or np.min(S[0].real) <= 0:
+    """Scale a proportional S-matrix, in place, to the unitary one with positive first row."""
+    raw /= raw[0, 0] / abs(raw[0, 0])
+    raw /= np.linalg.norm(raw[0])
+    if np.max(np.abs(raw[0].imag)) > 1e-8 or np.min(raw[0].real) <= 0:
         raise InvalidModularData("first S row is not positive; labels outside the level alcove?")
-    return S
+    return raw
 
 
 def su_modular_data(N, k, tol=DEFAULT_TOL):
@@ -176,10 +176,11 @@ def su_modular_data(N, k, tol=DEFAULT_TOL):
     :func:`young_dagger`, twists are e^{pi i <lambda, lambda+2 rho>/(k+N)} and
     the S-matrix entries are Weyl-group alternating sums, each an N x N
     determinant of kappa-th roots of unity e^{-2 pi i l_i m_j/kappa}
-    (kappa = k + N, l and m the integer vectors lambda + rho and mu + rho)
-    read from one table by the exponent l_i m_j mod kappa.  S is symmetric,
-    so one determinant serves each unordered pair of labels.  Desk scale
-    only: N <= 6, k <= 8.
+    (kappa = k + N, l and m the integer vectors lambda + rho and mu + rho,
+    whose entries lie in 0..kappa-1) read from one kappa x kappa phase
+    table.  S is symmetric, so the upper triangle is built one row at a
+    time, one determinant per unordered pair, and mirrored; the workspace
+    beside S is one row's n N^2 entries.  Desk scale only: N <= 6, k <= 8.
     """
     if not (2 <= N <= _SU_MAX_N):
         raise ScaleLimit(f"N={N} outside supported range 2..{_SU_MAX_N}")
@@ -190,17 +191,14 @@ def su_modular_data(N, k, tol=DEFAULT_TOL):
     kappa = k + N
     X = _su_weight_vectors(N, labels)
     sums = X.sum(axis=1)
-    roots = _roots_of_unity(kappa, -1)
+    res = np.arange(kappa)
+    phase = _roots_of_unity(kappa, -1)[np.outer(res, res) % kappa]  # phase[l, m] = e^{-2 pi i l m/kappa}
     raw = np.empty((n, n), dtype=complex)
-    # det[ e^{-2 pi i l_a m_b / kappa} ] for a <= b, assembled in chunks of
-    # pairs to bound the (chunk, N, N) workspace, then mirrored
-    rows, cols = np.triu_indices(n)
-    chunk = max(1, int(2e6 // (N * N)))
-    for start in range(0, len(rows), chunk):
-        a, b = rows[start : start + chunk], cols[start : start + chunk]
-        dets = np.linalg.det(roots[(X[a, :, None] * X[b, None, :]) % kappa])
-        raw[a, b] = dets
-        raw[b, a] = dets
+    # row a of the upper triangle, det[phase[l_a, m_b]] for b >= a, then mirrored
+    for a in range(n):
+        row = np.linalg.det(phase[X[a, None, :, None], X[a:, None, :]])
+        raw[a, a:] = row
+        raw[a:, a] = row
     # traceless-projection prefactor e^{2 pi i |l| |m| / (N kappa)}
     raw *= _roots_of_unity(N * kappa, 1)[np.outer(sums, sums) % (N * kappa)]
     S = _normalize_s(raw)

@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+_BLOCK = 1 << 18  # entries per row block of the Verlinde and handle checks
 
 
 class InvalidModularData(ValueError):
@@ -353,9 +354,10 @@ def verlinde_fusion(data, atol=None):
     to integers within :func:`_integer_tolerance`; otherwise
     :class:`NonIntegralFusion` is raised, which signals that (S, theta) is
     not valid modular data.  The sum is symmetric in i and j, so the check
-    visits each coefficient once, with i <= j, one row block at a time, and
-    keeps none of them: the returned :class:`FusionTensor` rounds a slice
-    again when it is first read.
+    visits each coefficient once, with i <= j.  Both checks run in row
+    blocks of at most `_BLOCK` entries (whole rows of the upper triangle
+    while n <= 512) and keep none of them: the returned
+    :class:`FusionTensor` rounds a slice again when it is first read.
     """
     if atol is None:
         atol = data.tol
@@ -365,17 +367,20 @@ def verlinde_fusion(data, atol=None):
     if np.min(np.abs(row0)) <= data.tol:
         raise NonIntegralFusion("a unit-row S entry vanishes; Verlinde sum undefined")
     n = data.n
+    step = max(1, _BLOCK // n)
     Sct = S.conj().T
     dev = 0.0
     lowest, where = 0, None
     for i in range(n):
-        raw = (S[i:] * (S[i] / row0)) @ Sct  # raw[j - i, k] = N_{ij}^k for j >= i
-        rounded = np.round(raw.real)
-        dev = max(dev, float(np.max(np.abs(raw - rounded))))
-        low = rounded.min()
-        if low < lowest:
-            j, k = np.unravel_index(int(np.argmin(rounded)), rounded.shape)
-            lowest, where = int(low), (i, i + int(j), int(k))
+        w = S[i] / row0
+        for j0 in range(i, n, step):
+            raw = (S[j0 : j0 + step] * w) @ Sct  # raw[j, k] = N_{i, j0 + j}^k
+            rounded = np.round(raw.real)
+            dev = max(dev, float(np.max(np.abs(raw - rounded))))
+            low = rounded.min()
+            if low < lowest:
+                j, k = np.unravel_index(int(np.argmin(rounded)), rounded.shape)
+                lowest, where = int(low), (i, j0 + int(j), int(k))
     if dev > atol:
         raise NonIntegralFusion(f"fusion coefficients deviate from integers by {dev:.3e} > {atol:.3e}")
     if where is not None:
@@ -385,17 +390,25 @@ def verlinde_fusion(data, atol=None):
             f"({data.labels[i]}, {data.labels[j]}, {data.labels[k]})"
         )
     weight = row0**-2
-    raw = (S * weight) @ Sct
-    rounded = np.round(raw.real)
-    scale = (np.abs(S) * np.abs(weight)) @ np.abs(S).T
-    dev = np.abs(raw - rounded)
-    if np.any(dev > _integer_tolerance(atol, scale)):
-        raise NonIntegralFusion(f"handle operator deviates from integers by up to {dev.max():.3e}")
+    abs_t = np.abs(S).T
+    handle = np.empty((n, n), dtype=np.int64)
+    worst, bad = 0.0, False
+    for j0 in range(0, n, step):
+        rows = S[j0 : j0 + step]
+        raw = (rows * weight) @ Sct
+        rounded = np.round(raw.real)
+        scale = (np.abs(rows) * np.abs(weight)) @ abs_t
+        dev = np.abs(raw - rounded)
+        bad = bad or bool(np.any(dev > _integer_tolerance(atol, scale)))
+        worst = max(worst, float(dev.max()))
+        handle[j0 : j0 + step] = rounded
+    if bad:
+        raise NonIntegralFusion(f"handle operator deviates from integers by up to {worst:.3e}")
 
     def slice_of(j):
         return np.round(((S * (S[j] / row0)) @ Sct).real).astype(np.int64)
 
-    return FusionTensor(data.labels, slice_of, rounded.astype(np.int64))
+    return FusionTensor(data.labels, slice_of, handle)
 
 
 def fs_indicators(data):

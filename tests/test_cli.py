@@ -16,6 +16,24 @@ from modfunctor.cli import UsageError, main, parse_surface_literal, run_command
 from conftest import get_family
 
 
+# the keys of every family's "checks" in verify's --json output, in order
+VERIFY_CHECKS = (
+    "axioms",
+    "fusion-integral",
+    "fusion-unit",
+    "fusion-duality",
+    "fusion-commutative",
+    "fusion-rigidity",
+    "once-punctured-sphere",
+    "twice-punctured-sphere",
+    "torus-dim",
+    "gauss-modulus",
+    "canonical-residual",
+    "gluing-dimension",
+    "oracle-equivalence",
+)
+
+
 def test_parse_surface_literal_basic(su22):
     a = parse_surface_literal("g=0[1,1,2]", su22)
     assert len(a.components) == 1
@@ -282,6 +300,23 @@ def test_verify_fusion_identities_match_dense_oracle(monkeypatch, family, corrup
         for b in data.labels
     )
     assert checks["twice-punctured-sphere"] == twice == want["fusion-duality"]
+
+
+def test_once_punctured_sphere_reads_the_unit_slice(monkeypatch):
+    # every slice zero, handle correct: dim(0; i, 0) = [i = 0] must fail
+    data = get_family("su", 3, 2)
+    true = mf.verlinde_fusion(data)
+    empty = mf.FusionTensor(data.labels, lambda j: np.zeros((data.n, data.n), dtype=np.int64), true.handle)
+    monkeypatch.setattr(cli, "verlinde_fusion", lambda data: empty)
+    assert cli._verify_family(data)["once-punctured-sphere"] is False
+
+
+def test_verify_all_passes_with_the_same_checks():
+    code, report = run_command(["verify", "--all"])
+    assert code == 0
+    families = report.machine["families"]
+    assert len(families) == 33 and all(fam["ok"] for fam in families.values())
+    assert {tuple(fam["checks"]) for fam in families.values()} == {VERIFY_CHECKS}
 
 
 def test_verify_gluing_draws_are_distinct_identities(monkeypatch):

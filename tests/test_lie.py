@@ -7,6 +7,7 @@ agreement (partition model vs Dynkin-label model) covers the rest.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -72,6 +73,19 @@ def test_su_twists_match_float_form(N, k):
     theta = get_family("su", N, k).theta
     for lab, want in su_twist_oracle(N, k).items():
         assert abs(theta[lab] - want) < 1e-13
+
+
+@pytest.mark.parametrize("N, k", [(5, 6), (5, 8)])
+def test_su_s_build_peak_memory(N, k):
+    lie.su_modular_data(2, 1)  # first-call allocations of numpy and the label code
+    tracemalloc.start()
+    try:
+        data = lie.su_modular_data(N, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # S, its read-only copy in ModularData and one triangle row of workspace
+    assert peak <= 3 * 16 * data.n**2
 
 
 def test_su_labels_and_counts():

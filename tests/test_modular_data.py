@@ -204,6 +204,45 @@ def test_negative_coefficient_error_names_a_negative_triple(su32):
     assert N[bad.index(i), bad.index(j), bad.index(k)] == int(value) < 0
 
 
+@pytest.mark.parametrize("family", [("su", 3, 2), ("su", 4, 3)], ids=lambda t: " ".join(map(str, t)))
+def test_row_blocks_give_the_same_tensor_and_errors(monkeypatch, family):
+    data = get_family(*family)
+    S = data.S
+    flip = np.ones(data.n)
+    flip[-1] = -1  # D S D: integral, but negative coefficients (see above), first in row 1's last block
+    bent = S.copy()
+    r = int(np.argmin(np.abs(S[0])))  # the largest handle weight S_0r^-2
+    bent[1, r] += 0.03
+    bent[r, 1] += 0.03
+    cases = {
+        "valid": (data, None),
+        "negative": (_rebuild(data, S=S * np.outer(flip, flip)), None),
+        "deviation": (_rebuild(data, tol=1e-20), None),  # what MF_TOL=1e-20 builds
+        "handle": (_rebuild(data, S=bent), 0.1),  # fusion within 0.1, handle not
+    }
+
+    def outcome(bad, atol):
+        try:
+            fusion = mf.verlinde_fusion(bad, atol)
+        except mf.NonIntegralFusion as exc:
+            return str(exc)
+        return fusion.handle.tolist(), [fusion.slice(j).tolist() for j in range(bad.n)]
+
+    whole = {name: outcome(*case) for name, case in cases.items()}
+    assert isinstance(whole["valid"], tuple)
+    assert whole["negative"].startswith("negative fusion coefficient")
+    assert whole["handle"].startswith("handle operator deviates")
+    # the largest deviation over every row of the triangle, not one block's
+    tri = ((S[i:] * (S[i] / S[0])) @ S.conj().T for i in range(data.n))
+    dev = max(float(np.max(np.abs(raw - np.round(raw.real)))) for raw in tri)
+    assert whole["deviation"] == f"fusion coefficients deviate from integers by {dev:.3e} > {1e-20:.3e}"
+    # blocks of two rows or more: a one-row block is numpy's matrix-vector
+    # product, whose last bits differ from the matrix product's
+    for rows in (2, 3, 5):
+        monkeypatch.setattr(mf.modular_data, "_BLOCK", rows * data.n)
+        assert {name: outcome(*case) for name, case in cases.items()} == whole
+
+
 def handle_oracle(data, fusion):
     """Handle operator by the integer route: sum_j N_j N_{j*}, (N_j)_{xy} = N_{xj}^y."""
     N = fusion.N
