@@ -265,6 +265,11 @@ def _cmd_characters(args, tol):
     return code, Report(machine, "\n".join(lines))
 
 
+def _max_residual(data, sp):
+    """Largest |u_i - s_i w_i| over the labels: the defining equation of a scaling pair."""
+    return max(abs(sp.u[lab] - s_factor(data, sp, lab) * sp.w[lab]) for lab in data.labels)
+
+
 def _cmd_scaling(args, tol):
     data, meta = parse_family(args.family, tol=tol)
     sdd = SelfDualityData.defaults(data)
@@ -282,9 +287,7 @@ def _cmd_scaling(args, tol):
         sp = solve_strict(data, sdd, found)
     else:
         sp = solve_canonical(data, sdd)
-    residual = 0.0
-    for lab in data.labels:
-        residual = max(residual, abs(sp.u[lab] - s_factor(data, sp, lab) * sp.w[lab]))
+    residual = _max_residual(data, sp)
     pair_res = 0.0
     for lab in data.labels:
         pair_res = max(
@@ -342,12 +345,16 @@ def _verify_family(data):
     eye = np.eye(n, dtype=np.int64)
     checks["fusion-unit"] = all(np.array_equal(M[j][z], eye[j]) for j in range(n))
     checks["fusion-duality"] = all(np.array_equal(M[j][:, z], dual == j) for j in range(n))
+    # M_j[i] = M_i[j], compared once per unordered pair i < j
     checks["fusion-commutative"] = all(
-        np.array_equal(M[j], np.array([m[j] for m in M])) for j in range(n)
+        np.array_equal(M[j][:j], [m[j] for m in M[:j]]) for j in range(1, n)
     )
     # N_{ij}^k = N_{i* k}^j read on slices as N_{xj}^y = N_{y j*}^x, that is
-    # M_j = M_{j*}^T; the two statements agree once commutativity holds
-    checks["fusion-rigidity"] = all(np.array_equal(M[j], M[dual[j]].T) for j in range(n))
+    # M_j = M_{j*}^T; the two statements agree once commutativity holds, and
+    # M_j = M_{j*}^T says the same as M_{j*} = M_j^T, so one j per dual pair
+    checks["fusion-rigidity"] = all(
+        np.array_equal(M[j], M[dual[j]].T) for j in range(n) if dual[j] >= j
+    )
     # the unit-point axiom dim(0; i, 0) = dim(0; i) = [i = 0]: the one-point
     # sphere is e_i[0] and reads no slice, the two-point one reads N_0
     checks["once-punctured-sphere"] = all(
@@ -364,10 +371,7 @@ def _verify_family(data):
     D = global_D(data).real
     checks["gauss-modulus"] = abs(abs(gauss_sum_delta(data)) - D) < 1e-6 * max(1.0, D)
     sp = solve_canonical(data, SelfDualityData.defaults(data))
-    residual = max(
-        abs(sp.u[lab] - s_factor(data, sp, lab) * sp.w[lab]) for lab in data.labels
-    )
-    checks["canonical-residual"] = residual < 1e-12
+    checks["canonical-residual"] = _max_residual(data, sp) < 1e-12
     rng = np.random.default_rng(11)
     glue_ok = True
     for _ in range(4):

@@ -69,13 +69,13 @@ class SelfDualityData:
 
 @dataclass
 class ScalingPair:
-    """Scalars (u, w) per label plus cached square-root branches per dual pair.
+    """Scalars (u, w) per label plus square-root branches per dual pair.
 
-    The caches record the value chosen for sqrt(u_i u_{i*}) and
-    sqrt(w_i w_{i*}).  When absent they are filled on first use: a
-    star-invariant product x * x takes the root x itself, anything else the
-    principal branch.  Solvers pre-fill the caches with the branches their
-    constructions rely on.
+    `sqrt_uu` and `sqrt_ww`, keyed by :func:`pair_key`, hold the values
+    chosen for sqrt(u_i u_{i*}) and sqrt(w_i w_{i*}).  Every constructor
+    fills them with the branches its construction relies on, and
+    :func:`s_factor` only reads them.  A pair built from (u, w) alone
+    serves every function that does not read the roots.
     """
 
     u: dict
@@ -86,18 +86,15 @@ class ScalingPair:
     @classmethod
     def ones(cls, data):
         one = {lab: 1.0 + 0j for lab in data.labels}
-        return cls(u=dict(one), w=dict(one))
+        roots = {pair_key(data, lab): 1.0 + 0j for lab, _ in _dual_pairs(data)}
+        return cls(u=dict(one), w=dict(one), sqrt_uu=dict(roots), sqrt_ww=dict(roots))
 
 
-def _pair_root(values, cache, data, i):
-    key = pair_key(data, i)
-    got = cache.get(key)
-    if got is not None:
-        return got
-    a, b = values[key[0]], values[key[1]]
-    root = a if a == b else cmath.sqrt(a * b)
-    cache[key] = root
-    return root
+def _dual_pairs(data):
+    """Each dual pair (i, i*) once, at its first label in label order; i == i* if self-dual."""
+    for i, lab in enumerate(data.labels):
+        if i <= data.dual_index(i):  # the dual is an involution, checked at load time
+            yield lab, data.dual[lab]
 
 
 def _sqrt_dim(data, i):
@@ -106,11 +103,8 @@ def _sqrt_dim(data, i):
 
 def s_factor(data, sp, i):
     """The per-label scale sqrt(w_i w_{i*}) sqrt(dim i) / sqrt(u_i u_{i*})."""
-    return (
-        _pair_root(sp.w, sp.sqrt_ww, data, i)
-        * _sqrt_dim(data, i)
-        / _pair_root(sp.u, sp.sqrt_uu, data, i)
-    )
+    key = pair_key(data, i)
+    return sp.sqrt_ww[key] * _sqrt_dim(data, i) / sp.sqrt_uu[key]
 
 
 def pairing_normalization(data, sp, a):
@@ -167,22 +161,18 @@ def solve_canonical(data, sdd):
     """Star-invariant solution of u_i = s_i^{u,w} w_i with w = 1.
 
     Requires mu(i) = 1 on non-self-dual labels.  Returns the pair with
-    u_i = dim(i)^{1/4} (principal fourth root) and the square-root caches
+    u_i = dim(i)^{1/4} (principal fourth root) and the pair roots
     filled so the defining equation holds to machine precision.
     """
     for i, lab in enumerate(data.labels):
         if data.dual_index(i) != i and abs(sdd.mu[lab] - 1) > data.tol:
             raise InvalidModularData(f"canonical solution needs mu({lab!r}) = 1 on non-self-dual labels")
-    u, w, suu, sww = {}, {}, {}, {}
-    for i, lab in enumerate(data.labels):
-        root = cmath.sqrt(_sqrt_dim(data, lab))
-        u[lab] = root
-        w[lab] = 1.0 + 0j
-    for lab in data.labels:
-        key = pair_key(data, lab)
-        suu[key] = u[key[0]]  # dim is dual-symmetric, so u is star-invariant
-        sww[key] = 1.0 + 0j
-    return ScalingPair(u=u, w=w, sqrt_uu=suu, sqrt_ww=sww)
+    u = {lab: cmath.sqrt(_sqrt_dim(data, lab)) for lab in data.labels}
+    w = {lab: 1.0 + 0j for lab in data.labels}
+    keys = [pair_key(data, lab) for lab, _ in _dual_pairs(data)]
+    # dim is dual-symmetric, so u is star-invariant and u_i is the pair root
+    suu = {key: u[key[0]] for key in keys}
+    return ScalingPair(u=u, w=w, sqrt_uu=suu, sqrt_ww=dict.fromkeys(keys, 1.0 + 0j))
 
 
 def _half_phase(frac):
@@ -220,50 +210,21 @@ def solve_strict(data, sdd, chi):
         elif abs(sdd.mu[lab] - 1) > data.tol:
             raise InvalidModularData(f"strict solution needs mu({lab!r}) = 1 off the self-dual part")
 
-    root = {}  # chosen sqrt of the character phase per label
-    seen = set()
-    for i, lab in enumerate(data.labels):
-        j = data.dual_index(i)
-        other = data.labels[j]
-        if i == j:
-            root[lab] = _half_phase(vals[lab])
-        elif lab not in seen:
-            root[lab] = _half_phase(vals[lab])
-            root[other] = 1.0 / root[lab]
-            seen.add(lab)
-            seen.add(other)
-
     u, w, suu, sww = {}, {}, {}, {}
-    for i, lab in enumerate(data.labels):
-        j = data.dual_index(i)
-        if i == j:
-            # eta = sqrt(chi-phase) * sqrt(mu) with sqrt(mu) = 1/root -> w = 1
-            w[lab] = 1.0 + 0j
-            u[lab] = cmath.sqrt(_sqrt_dim(data, lab))
-        else:
-            w[lab] = root[lab]  # sqrt(mu) = 1 there
-    phase = {lab: root[lab] ** 2 for lab in data.labels}
-    done = set()
-    for i, lab in enumerate(data.labels):
-        j = data.dual_index(i)
-        other = data.labels[j]
-        if i == j or lab in done:
-            continue
-        u[lab] = cmath.sqrt(_sqrt_dim(data, lab) * w[lab] / root[other])
-        u[other] = u[lab] * phase[other]
-        done.add(lab)
-        done.add(other)
-    for i, lab in enumerate(data.labels):
+    for lab, other in _dual_pairs(data):
         key = pair_key(data, lab)
-        if key in suu:
+        sww[key] = 1.0 + 0j
+        if lab == other:
+            # eta = sqrt(chi-phase) * sqrt(mu) with sqrt(mu) = 1/r -> w = 1
+            w[lab] = 1.0 + 0j
+            u[lab] = suu[key] = cmath.sqrt(_sqrt_dim(data, lab))
             continue
-        j = data.dual_index(i)
-        if i == j:
-            suu[key] = u[lab]
-            sww[key] = w[lab]
-        else:
-            suu[key] = u[key[0]] * root[data.dual[key[0]]]
-            sww[key] = 1.0 + 0j
+        # w = r, the chosen sqrt of the character phase (sqrt(mu) = 1 there)
+        w[lab] = _half_phase(vals[lab])
+        w[other] = 1.0 / w[lab]
+        u[lab] = cmath.sqrt(_sqrt_dim(data, lab) * w[lab] / w[other])
+        u[other] = u[lab] * w[other] ** 2
+        suu[key] = u[key[0]] * w[key[1]]
     return ScalingPair(u=u, w=w, sqrt_uu=suu, sqrt_ww=sww)
 
 
@@ -291,15 +252,15 @@ def unitary_rho(data, sdd, sp, a):
     sigma(i) = lambda_{i*} mu(i).  For the scalar of the u-normalized
     Hermitian pairing, call with a pair whose w equals its u.
     """
+
+    def r(x):
+        return _sqrt_dim(data, x) / cmath.sqrt(sdd.lam[x] * sp.u[x] * sp.u[x].conjugate())
+
     out = 1.0 + 0j
     for lab in a.labels():
         other = data.dual[lab]
-        r = _sqrt_dim(data, lab) / cmath.sqrt(sdd.lam[lab] * sp.u[lab] * sp.u[lab].conjugate())
-        r_star = _sqrt_dim(data, other) / cmath.sqrt(
-            sdd.lam[other] * sp.u[other] * sp.u[other].conjugate()
-        )
         sigma = sdd.lam[other] * sdd.mu[lab]
-        out *= r * r_star / (sigma * sp.w[lab] * sp.w[other].conjugate())
+        out *= r(lab) * r(other) / (sigma * sp.w[lab] * sp.w[other].conjugate())
     return out
 
 
@@ -318,23 +279,15 @@ def quasi_iso_gamma(data, f):
     for lab in data.labels:
         if f[lab] == 0:
             raise InvalidModularData(f"f({lab!r}) must be nonzero")
-    pairprod = {}
-    for lab in data.labels:
+    alpha, gamma = {}, {}
+    for lab, other in _dual_pairs(data):
         key = pair_key(data, lab)
-        if key not in pairprod:
-            pairprod[key] = 1.0 / cmath.sqrt(f[key[0]] * f[key[1]])
-    alpha = {}
-    for i, lab in enumerate(data.labels):
-        key = pair_key(data, lab)
-        j = data.dual_index(i)
-        if j == i:
-            alpha[lab] = cmath.sqrt(pairprod[key])
-        elif lab == key[0]:
-            alpha[lab] = pairprod[key]
+        pairprod = 1.0 / cmath.sqrt(f[key[0]] * f[key[1]])
+        if lab == other:
+            alpha[lab] = cmath.sqrt(pairprod)
         else:
-            alpha[lab] = 1.0 + 0j
-    gamma = {}
-    for lab in data.labels:
-        key = pair_key(data, lab)
-        gamma[lab] = 1.0 / (pairprod[key] * f[lab])
+            alpha[key[0]] = pairprod
+            alpha[key[1]] = 1.0 + 0j
+        gamma[lab] = 1.0 / (pairprod * f[lab])
+        gamma[other] = 1.0 / (pairprod * f[other])
     return alpha, gamma

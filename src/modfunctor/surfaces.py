@@ -256,31 +256,32 @@ def state_dim(data, fusion, a):
     return out
 
 
-def state_dim_verlinde(data, a, atol=None):
+def state_dim_verlinde(data, a):
     """Closed-form dimension sum_r S_{0r}^{2-2g-n} prod_l S_{i_l r} per component.
 
     Independent of :func:`state_dim`: evaluated over the complex S-matrix and
-    rounded, with an integrality check within `atol` (default `data.tol`).
-    A sum whose double spacing exceeds that tolerance (from about 2^51 on)
-    is refused, since every double there is an integer or a half and the
-    check could not fail.
+    rounded, with an integrality check within `data.tol`, widened with the
+    magnitude of the terms.  A sum that overflows, or whose double spacing
+    exceeds that tolerance (from about 2^51 on), is refused before rounding,
+    since every double there is an integer or a half and the check could
+    not fail.
     """
-    if atol is None:
-        atol = data.tol
     z = data.index(data.zero)
     row0 = data.S[z, :]
     out = 1
     for c in a.components:
         n = len(c.points)
-        term = row0 ** (2 - 2 * c.genus - n)
-        for p in c.points:
-            term = term * data.S[data.index(p.label), :]
-        val = complex(np.sum(term))
-        nearest = round(val.real)
-        tol = _integer_tolerance(atol, float(np.sum(np.abs(term))))
-        if np.spacing(abs(val.real)) > tol:
+        with np.errstate(over="ignore", invalid="ignore"):
+            term = row0 ** (2 - 2 * c.genus - n)
+            for p in c.points:
+                term = term * data.S[data.index(p.label), :]
+            val = complex(np.sum(term))
+            tol = _integer_tolerance(data.tol, float(np.sum(np.abs(term))))
+        # an overflowed sum is inf or NaN, which no comparison accepts
+        if not (np.spacing(abs(val.real)) <= tol):
             raise InvalidModularData(f"character sum {val} is too large to decide an integer in double precision")
-        if abs(val - nearest) > tol:
+        nearest = round(val.real)
+        if not (abs(val - nearest) <= tol):
             raise InvalidModularData(f"character sum {val} is not an integer within tolerance")
         out *= int(nearest)
     return out

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -361,6 +362,21 @@ def test_main_prints_to_streams(capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err != ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["dims", "su", "2", "2", "--surface", "g=600[]"], ["dims", "su", "3", "2", "--surface", "g=300[1,1]"]],
+)
+def test_dims_refuses_an_overflowing_closed_form(capsys, argv):
+    # the S-matrix sum overflows to inf (or NaN) before it could be rounded
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert "Traceback" not in out.err and "RuntimeWarning" not in out.err
 
 
 def test_main_help_exits_zero(capsys):

@@ -27,6 +27,18 @@ def test_s_factor_at_ones(su22):
     assert abs(mf.s_factor(su22, sp, "2") - 1.0) < 1e-14
 
 
+def test_ones_fills_every_pair_root_and_reading_keeps_them(su22, su31):
+    for data in (su22, su31):
+        sp = ones(data)
+        keys = {mf.pair_key(data, lab) for lab in data.labels}
+        assert sp.sqrt_uu == sp.sqrt_ww == dict.fromkeys(keys, 1.0 + 0j)
+        uu, ww = dict(sp.sqrt_uu), dict(sp.sqrt_ww)
+        for lab in data.labels:
+            mf.s_factor(data, sp, lab)
+            mf.pairing_normalization(data, sp, mf.sphere_with_labels([lab, data.dual[lab]]))
+        assert sp.sqrt_uu == uu and sp.sqrt_ww == ww
+
+
 def test_pairing_normalization_frozen(su22):
     sp = ones(su22)
     assert abs(mf.pairing_normalization(su22, sp, Surface(())) - 1.0) < 1e-14
