@@ -9,11 +9,12 @@ of U is the monodromy charge i -> S_gi S_00 / (S_0g S_0i) of exactly one
 g in G.  :func:`dual_group` therefore reads only G's multiplication
 table, from the fusion slices of the labels with |dim| = 1, and |G| rows
 of S, never the full fusion support.  The integer Smith normal form
-that presents the group (and builds the certificate below) is computed
-in Python ints, pivot step by pivot step as sympy computes it, so sympy
-is needed only by the tests.  Character values are rationals
-mod 1 (the exponent of e^{2 pi i x}), stored as :class:`fractions.Fraction`,
-so everything downstream is exact.
+that presents the group, and whose left transform spans the kernel behind
+the certificate below, is computed in Python ints, pivot step by pivot
+step as sympy computes it, and only its invariant factors and left
+transform are formed; sympy is needed only by the tests.  Character
+values are rationals mod 1 (the exponent of e^{2 pi i x}), stored as
+:class:`fractions.Fraction`, so everything downstream is exact.
 
 The main consumer is :func:`find_fundamental_symplectic_character`, which
 looks for a character that is -1 exactly on the symplectic (self-dual,
@@ -139,21 +140,18 @@ def _mix_columns(m, i, j, a, b, c, d):
         row[i], row[j] = a * e + b * f, c * e + d * f
 
 
-def _eye(n):
-    return [[int(a == b) for b in range(n)] for a in range(n)]
-
-
 def _smith_lists(m, rows, cols):
-    """(invariants, left, right) for the list-of-lists integer matrix m, which is consumed.
+    """(invariants, left) for the list-of-lists integer matrix m, which is consumed.
 
     The pivot step of sympy's ``_smith_normal_decomp`` over ZZ, with the same
-    choices at every step, so the transforms agree with sympy's exactly.
+    choices at every step.  Only the left transform is formed: no step that
+    updates m or left reads the right one, so left agrees with sympy's exactly.
     """
+    left = [[int(a == b) for b in range(rows)] for a in range(rows)]
     if not rows or not cols:
-        return (), _eye(rows), _eye(cols)
-    left, right = _eye(rows), _eye(cols)
+        return (), left
 
-    def reduce(line, count, mix, transform):
+    def reduce(line, count, mix, targets):
         # make line(j) zero for j >= 1 by unimodular mixes with line 0
         pivot = m[0][0]
         for j in range(1, count):
@@ -167,8 +165,8 @@ def _smith_lists(m, rows, cols):
                 x, y, g = _gcdext(pivot, entry)
                 coeffs = (x, y, entry // g, -(pivot // g))
                 pivot = g
-            mix(m, 0, j, *coeffs)
-            mix(transform, 0, j, *coeffs)
+            for target in targets:
+                mix(target, 0, j, *coeffs)
 
     if m[0][0] == 0:
         # a nonzero pivot from column 0 by a row swap, else from row 0 by a column swap
@@ -178,11 +176,11 @@ def _smith_lists(m, rows, cols):
             m[0], m[i] = m[i], m[0]
             left[0], left[i] = left[i], left[0]
         elif j is not None:
-            for row in m + right:
+            for row in m:
                 row[0], row[j] = row[j], row[0]
     while any(m[0][1:]) or any(row[0] for row in m[1:]):
-        reduce(lambda j: m[j][0], rows, _mix_rows, left)
-        reduce(lambda j: m[0][j], cols, _mix_columns, right)
+        reduce(lambda j: m[j][0], rows, _mix_rows, (m, left))
+        reduce(lambda j: m[0][j], cols, _mix_columns, (m,))
     pivot = m[0][0]
     if pivot < 0:
         pivot = m[0][0] = -pivot
@@ -190,47 +188,38 @@ def _smith_lists(m, rows, cols):
 
     invs = ()
     if rows > 1 and cols > 1:
-        invs, sub_left, sub_right = _smith_lists([row[1:] for row in m[1:]], rows - 1, cols - 1)
-        # left <- (1 (+) sub_left) left, right <- right (1 (+) sub_right)
+        invs, sub_left = _smith_lists([row[1:] for row in m[1:]], rows - 1, cols - 1)
+        # left <- (1 (+) sub_left) left
         lower = list(zip(*left[1:]))
         left = [left[0]] + [[sum(x * y for x, y in zip(r, c)) for c in lower] for r in sub_left]
-        inner = list(zip(*sub_right))
-        right = [[r[0]] + [sum(x * y for x, y in zip(r[1:], c)) for c in inner] for r in right]
     if pivot == 0:
         # a zero pivot goes last
-        left = left[1:] + left[:1]
-        right = [row[1:] + row[:1] for row in right]
-        return invs + (0,), left, right
+        return invs + (0,), left[1:] + left[:1]
     result = [pivot, *invs]
     # the pivot need not divide the rest: move gcd forward, lcm back
     for i in range(len(result) - 1):
         a, b = result[i], result[i + 1]
         if b == 0 or b % a == 0:
             break
-        x, y, d = _gcdext(a, b)
-        alpha, beta = a // d, b // d
+        x, _y, d = _gcdext(a, b)
+        alpha = a // d
         _mix_rows(left, i, i + 1, 1, 0, x, 1)
-        _mix_columns(right, i, i + 1, 1, y, 0, 1)
         _mix_rows(left, i, i + 1, 1, -alpha, 0, 1)
-        _mix_columns(right, i, i + 1, 1, 0, -beta, 1)
         _mix_rows(left, i, i + 1, 0, 1, -1, 0)
         result[i], result[i + 1] = d, b * alpha
-    return tuple(result), left, right
+    return tuple(result), left
 
 
 def _smith(matrix):
-    """(diag, left, right) of an integer matrix with diag = left @ m @ right.
+    """(invariants, left) of an integer matrix m: left @ m = diag(invariants) @ R^-1.
 
-    Object arrays of Python ints; left and right are unimodular and each
-    diagonal entry divides the next.
+    `invariants` is a tuple of min(rows, cols) nonnegative Python ints, each
+    dividing the next (zeros last); `left` is a unimodular object array of
+    Python ints.  R is a unimodular right transform that is never formed.
     """
     rows, cols = matrix.shape
-    invs, left, right = _smith_lists([[int(x) for x in row] for row in matrix], rows, cols)
-    diag = np.zeros((rows, cols), dtype=object)
-    for a, x in enumerate(invs):
-        diag[a, a] = x
-    left = np.array(left, dtype=object).reshape(rows, rows)
-    return diag, left, np.array(right, dtype=object).reshape(cols, cols)
+    invs, left = _smith_lists([[int(x) for x in row] for row in matrix], rows, cols)
+    return invs, np.array(left, dtype=object).reshape(rows, rows)
 
 
 def dual_group(data, fusion):
@@ -260,9 +249,9 @@ def dual_group(data, fusion):
         rels[r, pos[g]] += 1
         rels[r, pos[h]] += 1
         rels[r, pos[int(np.argmax(fusion.slice(g)[h]))]] -= 1  # g h is the one k with N_hg^k = 1
-    snf, left, _right = _smith(rels.T)
-    kept = [a for a in range(len(group)) if abs(int(snf[a, a])) > 1]
-    factors = tuple(abs(int(snf[a, a])) for a in kept)
+    invs, left = _smith(rels.T)
+    kept = [a for a, d in enumerate(invs) if d > 1]
+    factors = tuple(invs[a] for a in kept)
     by_coords = {tuple(int(left[a, pos[g]]) % d for a, d in zip(kept, factors)): g for g in group}
     S, z = data.S, data.index(data.zero)
     columns = []
@@ -346,15 +335,11 @@ def _build_certificate(pres, targets):
     nfac = len(pres.invariant_factors)
     V = np.array([[pres.label_image[s][j] for j in range(nfac)] for s in slabels], dtype=np.int64)
     D = np.diag(np.array(pres.invariant_factors, dtype=np.int64))
-    # kernel lattice of z -> (z^T V mod d_j): integer kernel of [V^T | diag(d)]
-    stacked = np.hstack([V.T, D]) if nfac else np.zeros((0, len(slabels)), dtype=np.int64)
-    if stacked.size:
-        snf, _left, right = _smith(stacked)
-        rank = sum(1 for i in range(min(snf.shape)) if snf[i, i] != 0)
-        kernel = [np.array(right[: len(slabels), j], dtype=object) for j in range(rank, right.shape[1])]
-    else:
-        kernel = [np.eye(len(slabels), dtype=object)[:, j] for j in range(len(slabels))]
-    for vec in kernel:
+    # kernel lattice of z -> (z^T V mod d_j): integer kernel of [V^T | diag(d)],
+    # spanned by the rows of the left transform of its transpose past the rank
+    invs, left = _smith(np.hstack([V.T, D]).T)
+    rank = sum(1 for d in invs if d)
+    for vec in left[rank:]:
         z = [int(x) for x in vec[: len(slabels)]]
         sm = sum(Fraction(zi) * targets[s] for zi, s in zip(z, slabels))
         if sm % 1 != 0:

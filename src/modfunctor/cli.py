@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -33,7 +34,7 @@ from .characters import (
     generator_characters,
 )
 from .families import FamilyError, builtin_families, parse_family
-from .fileio import FileFormatError, dumps_modular_data, modular_data_to_dict
+from .fileio import FileFormatError, _pair, dumps_modular_data, modular_data_to_dict
 from .modular_data import (
     InvalidModularData,
     ScaleLimit,
@@ -115,11 +116,6 @@ def parse_surface_literal(text, data=None):
     return Surface(components=tuple(components))
 
 
-def _cpair(z):
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
 def _fmt_complex(z):
     z = complex(z)
     return f"{z.real:+.9f}{z.imag:+.9f}j"
@@ -158,9 +154,9 @@ def _tolerance():
     try:
         value = float(raw)
     except ValueError:
-        raise UsageError(f"MF_TOL: not a number: {raw!r}") from None
-    if value <= 0:
-        raise UsageError(f"MF_TOL: must be positive, got {value}")
+        raise UsageError(f"error: MF_TOL: not a number: {raw!r}") from None
+    if not 0 < value < math.inf:
+        raise UsageError(f"error: MF_TOL: must be a positive finite number, got {raw!r}")
     return value
 
 
@@ -173,7 +169,7 @@ def _cmd_info(args, tol):
     machine_fs = fs_indicators(data)
     for lab, d in zip(data.labels, quantum_dims(data)):
         d = complex(d)
-        machine_dims[lab] = _cpair(d)
+        machine_dims[lab] = _pair(d)
         rows.append(
             f"  {lab:>10}  dual={data.dual[lab]:>10}  dim={d.real:14.9f}  "
             f"theta={_fmt_complex(data.theta[lab])}  fs={machine_fs[lab]:+d}"
@@ -192,7 +188,7 @@ def _cmd_info(args, tol):
         "dual": {lab: data.dual[lab] for lab in data.labels},
         "dims": machine_dims,
         "D": float(D.real),
-        "delta": _cpair(delta),
+        "delta": _pair(delta),
         "fs": machine_fs,
         "tol": data.tol,
     }
@@ -302,12 +298,12 @@ def _cmd_scaling(args, tol):
         scalar = self_duality_scalar(data, sdd, sp, a)
         nu = symplectic_multiplicity(data, sdd, a)
         sign_checks.append(abs(scalar - (-1.0) ** nu) if args.mode == "canonical" else abs(abs(scalar) - 1.0))
-    zvals = {lab: _cpair(z_of_label(data, lab)) for lab in data.labels}
+    zvals = {lab: _pair(z_of_label(data, lab)) for lab in data.labels}
     machine = {
         "family": meta["family"],
         "mode": args.mode,
-        "u": {lab: _cpair(sp.u[lab]) for lab in data.labels},
-        "w": {lab: _cpair(sp.w[lab]) for lab in data.labels},
+        "u": {lab: _pair(sp.u[lab]) for lab in data.labels},
+        "w": {lab: _pair(sp.w[lab]) for lab in data.labels},
         "z": zvals,
         "max_residual": residual,
         "max_pair_residual": pair_res,

@@ -10,6 +10,7 @@ dump/load cycle is bit-stable.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -120,7 +121,9 @@ def modular_data_from_dict(doc, tol=None):
     if tol is None:
         meta = doc.get("metadata")
         if isinstance(meta, dict) and "tol" in meta:
-            tol = float(meta["tol"])
+            tol = meta["tol"]
+            if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+                raise FileFormatError(f"metadata.tol: expected a positive finite number, got {tol!r}")
         else:
             tol = DEFAULT_TOL
     data = ModularData(labels=labels, zero=doc["zero"], dual=dual, S=S, theta=theta, tol=tol)

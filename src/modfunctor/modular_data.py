@@ -23,6 +23,7 @@ so callers can inspect partially broken data.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,8 +126,8 @@ class ModularData:
         for a in labels:
             if not cmath.isfinite(theta[a]):
                 raise InvalidModularData(f"theta[{a!r}] is not finite: {theta[a]}")
-        if not (tol > 0):
-            raise InvalidModularData("tol must be positive")
+        if not 0 < tol < math.inf:
+            raise InvalidModularData("tol must be a positive finite number")
         S = S.copy()
         S.setflags(write=False)
         self.labels = labels

@@ -124,9 +124,8 @@ def lattice_fundamental_group(cartan):
     simple roots in weight coordinates) via Smith normal form.
     """
     rank = cartan.shape[0]
-    snf, left, _right = _smith(cartan)
-    diag = [abs(int(snf[i, i])) for i in range(rank)]
-    kept = [i for i, x in enumerate(diag) if x > 1]
-    factors = tuple(diag[i] for i in kept)
+    invs, left = _smith(cartan)
+    kept = [i for i, x in enumerate(invs) if x > 1]
+    factors = tuple(invs[i] for i in kept)
     rows = tuple(tuple(int(left[i, j]) for j in range(rank)) for i in kept)
     return LatticeGroup(invariant_factors=factors, _transform=rows)

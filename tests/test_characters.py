@@ -197,6 +197,18 @@ def test_infeasibility_certificate(su31):
     _verify_certificate(pres, cert)  # must not raise
 
 
+def test_infeasibility_certificate_over_trivial_group():
+    # lie G 2 1 has no invertible label but the unit: no invariant factor,
+    # so every integer combination is in the kernel and the first unit
+    # vector with a fractional target sum is the certificate
+    _, pres = group_of("lie", "G", 2, 1)
+    assert pres.invariant_factors == ()
+    cert = _build_certificate(pres, {"0.0": Fraction(0), "0.1": Fraction(1, 2)})
+    assert cert.coefficients == {"0.1": 1}
+    assert cert.target_sum == Fraction(1, 2)
+    _verify_certificate(pres, cert)
+
+
 def test_vanishing_check(su31):
     mu = GroupCharacter(
         {lab: su_mu_tilde(3, mf.parse_young_label(lab)) for lab in su31.labels}
@@ -272,17 +284,28 @@ def _family_matrices():
 
 
 def _check_smith(m):
-    diag, left, right = _smith(m)
+    # left m = diag(d) X for a unimodular X, which is never formed: the rows
+    # of left m past the rank vanish, row i is d_i times a row of X, and
+    # those quotient rows extend to a basis (their invariant factors are all 1)
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
+    invs, left = _smith(m)
     rows, cols = m.shape
-    assert diag.shape == (rows, cols) and left.shape == (rows, rows) and right.shape == (cols, cols)
-    assert all(type(x) is int for x in itertools.chain(diag.flat, left.flat, right.flat))
-    assert np.array_equal(left.dot(m.astype(object)).dot(right), diag)
-    assert _det(left) in (1, -1) and _det(right) in (1, -1)
-    d = [diag[a, a] for a in range(min(rows, cols))]
-    assert np.count_nonzero(diag) == np.count_nonzero(d)
-    assert all(x >= 0 for x in d)
+    assert len(invs) == min(rows, cols) and left.shape == (rows, rows)
+    assert all(type(x) is int for x in itertools.chain(invs, left.flat))
+    assert _det(left) in (1, -1)
+    assert all(x >= 0 for x in invs)
     # each factor divides the next (0 divides only 0, so zeros come last)
-    assert all((b == 0) if a == 0 else (b % a == 0) for a, b in zip(d, d[1:]))
+    assert all((b == 0) if a == 0 else (b % a == 0) for a, b in zip(invs, invs[1:]))
+    rank = sum(1 for d in invs if d)
+    lm = left.dot(m.astype(object)).reshape(rows, cols)
+    assert all(x == 0 for x in lm[rank:].flat)
+    assert all(x % d == 0 for d, row in zip(invs[:rank], lm) for x in row)
+    if rank:
+        quotient = Matrix([[x // d for x in row] for d, row in zip(invs, lm[:rank])])
+        snf = smith_normal_form(quotient, ZZ)
+        assert [abs(int(snf[i, i])) for i in range(rank)] == [1] * rank
 
 
 def test_smith_defining_properties_on_random_matrices():
@@ -299,16 +322,16 @@ def test_smith_defining_properties_on_family_matrices():
 
 def test_smith_equals_sympy_decomposition():
     # sympy is a test-only dependency: the library's Smith form is a port of
-    # sympy's pivot steps, so (diag, left, right) must agree entry for entry
-    # (with sympy's default python ground types; gmpy2's gcdext may pick
-    # other Bezout coefficients)
+    # sympy's pivot steps, so the invariant factors and the left transform
+    # must agree entry for entry (with sympy's default python ground types;
+    # gmpy2's gcdext may pick other Bezout coefficients)
     from sympy import ZZ, Matrix
     from sympy.matrices.normalforms import smith_normal_decomp
 
     for m in _random_matrices() + list(_family_matrices()):
         if not m.size:
             continue
-        want = smith_normal_decomp(Matrix(m.tolist()), ZZ)
-        got = _smith(m)
-        for g, w in zip(got, want):
-            assert g.tolist() == [[int(x) for x in row] for row in w.tolist()]
+        snf, want_left, _want_right = smith_normal_decomp(Matrix(m.tolist()), ZZ)
+        invs, left = _smith(m)
+        assert list(invs) == [int(snf[a, a]) for a in range(min(m.shape))]
+        assert left.tolist() == [[int(x) for x in row] for row in want_left.tolist()]

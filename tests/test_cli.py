@@ -345,9 +345,11 @@ def test_mf_tol_env(monkeypatch):
     monkeypatch.setenv("MF_TOL", "abc")
     code, report = run_command(["info", "su", "2", "1"])
     assert code == 2
-    monkeypatch.setenv("MF_TOL", "-1")
-    code, report = run_command(["info", "su", "2", "1"])
-    assert code == 2
+    for raw in ("-1", "inf", "nan"):
+        monkeypatch.setenv("MF_TOL", raw)
+        code, report = run_command(["info", "su", "2", "1"])
+        assert code == 2
+        assert report.human.startswith("error: MF_TOL: ") and "\n" not in report.human
     monkeypatch.setenv("MF_TOL", "0.001")
     code, report = run_command(["info", "su", "2", "1"])
     assert code == 0

@@ -84,3 +84,15 @@ def test_tol_override(tmp_path, su21):
     assert loaded.tol == 1e-6
     default = mf.load_modular_data(path)
     assert default.tol == mf.DEFAULT_TOL
+
+
+def test_metadata_tol_is_read(su21):
+    doc = mf.modular_data_to_dict(su21, metadata={"tol": 1e-7})
+    assert mf.modular_data_from_dict(doc).tol == 1e-7
+
+
+@pytest.mark.parametrize("tol", ["abc", "1e-6", None, [1], True, 0, -1e-6, float("inf"), float("nan")])
+def test_bad_metadata_tol_names_the_field(su21, tol):
+    doc = mf.modular_data_to_dict(su21, metadata={"tol": tol})
+    with pytest.raises(mf.FileFormatError, match="metadata.tol"):
+        mf.modular_data_from_dict(doc)

@@ -124,6 +124,12 @@ def test_constructor_rejects_structural_garbage(su22):
         )
 
 
+@pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+def test_constructor_rejects_non_finite_tol(su22, tol):
+    with pytest.raises(mf.InvalidModularData, match="tol must be a positive finite number"):
+        _rebuild(su22, tol=tol)
+
+
 def test_verlinde_fusion_su2_level2(su22):
     fusion = get_fusion(su22)
     # 1 x 1 = 0 + 2,   1 x 2 = 1,   2 x 2 = 0
