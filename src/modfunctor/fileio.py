@@ -10,7 +10,7 @@ dump/load cycle is bit-stable.
 from __future__ import annotations
 
 import json
-import math
+import sys
 
 import numpy as np
 
@@ -122,7 +122,8 @@ def modular_data_from_dict(doc, tol=None):
         meta = doc.get("metadata")
         if isinstance(meta, dict) and "tol" in meta:
             tol = meta["tol"]
-            if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+            # a JSON integer may exceed every float; NaN fails both comparisons
+            if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol <= sys.float_info.max:
                 raise FileFormatError(f"metadata.tol: expected a positive finite number, got {tol!r}")
         else:
             tol = DEFAULT_TOL

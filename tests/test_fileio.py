@@ -91,7 +91,10 @@ def test_metadata_tol_is_read(su21):
     assert mf.modular_data_from_dict(doc).tol == 1e-7
 
 
-@pytest.mark.parametrize("tol", ["abc", "1e-6", None, [1], True, 0, -1e-6, float("inf"), float("nan")])
+@pytest.mark.parametrize(
+    "tol",
+    ["abc", "1e-6", None, [1], True, 0, -1e-6, pytest.param(10**400, id="int-above-float-range"), float("inf"), float("nan")],
+)
 def test_bad_metadata_tol_names_the_field(su21, tol):
     doc = mf.modular_data_to_dict(su21, metadata={"tol": tol})
     with pytest.raises(mf.FileFormatError, match="metadata.tol"):
