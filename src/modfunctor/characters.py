@@ -10,8 +10,8 @@ g in G.  :func:`dual_group` therefore reads only G's multiplication
 table, from the fusion slices of the labels with |dim| = 1, and |G| rows
 of S, never the full fusion support.  The integer Smith normal form
 that presents the group, and whose left transform spans the kernel behind
-the certificate below, is computed in Python ints, pivot step by pivot
-step as sympy computes it, and only its invariant factors and left
+the certificate below, is computed in place in Python ints with sympy's
+pivot steps in sympy's order, and only its invariant factors and left
 transform are formed; sympy is needed only by the tests.  Character
 values are rationals mod 1 (the exponent of e^{2 pi i x}), stored as
 :class:`fractions.Fraction`, so everything downstream is exact.
@@ -140,21 +140,33 @@ def _mix_columns(m, i, j, a, b, c, d):
         row[i], row[j] = a * e + b * f, c * e + d * f
 
 
-def _smith_lists(m, rows, cols):
-    """(invariants, left) for the list-of-lists integer matrix m, which is consumed.
+def _smith(matrix):
+    """(invariants, left) of an integer matrix m: left @ m = diag(invariants) @ R^-1.
 
-    The pivot step of sympy's ``_smith_normal_decomp`` over ZZ, with the same
-    choices at every step.  Only the left transform is formed: no step that
-    updates m or left reads the right one, so left agrees with sympy's exactly.
+    `invariants` is a tuple of min(rows, cols) nonnegative Python ints, each
+    dividing the next (zeros last); `left` is a unimodular object array of
+    Python ints.  R is a unimodular right transform that is never formed.
+
+    sympy's recursive ``_smith_normal_decomp`` over ZZ, the same steps in the
+    same order, in place on one matrix and one left transform.  The forward
+    pass runs sympy's level t for t = 0, 1, ...: clear row t and column t,
+    make pivot t nonnegative.  The backward pass runs t downwards, as the
+    recursion returns, and sorts the pivots into invariant factors.  Rows
+    above t and columns left of t are zero off the diagonal, so whole-row and
+    whole-column steps move only zeros outside the trailing submatrix, and
+    the inner levels' row steps on rows t + 1 onward of left give sympy's
+    (1 (+) inner left) left.  No step reads the right transform, so left
+    equals sympy's entry for entry.
     """
+    rows, cols = matrix.shape
+    m = [[int(x) for x in row] for row in matrix]
     left = [[int(a == b) for b in range(rows)] for a in range(rows)]
-    if not rows or not cols:
-        return (), left
+    size = min(rows, cols)
 
-    def reduce(line, count, mix, targets):
-        # make line(j) zero for j >= 1 by unimodular mixes with line 0
-        pivot = m[0][0]
-        for j in range(1, count):
+    def reduce(t, line, count, mix, targets):
+        # make line(j) zero for j > t by unimodular mixes with line t
+        pivot = m[t][t]
+        for j in range(t + 1, count):
             entry = line(j)
             if entry == 0:
                 continue
@@ -166,60 +178,46 @@ def _smith_lists(m, rows, cols):
                 coeffs = (x, y, entry // g, -(pivot // g))
                 pivot = g
             for target in targets:
-                mix(target, 0, j, *coeffs)
+                mix(target, t, j, *coeffs)
 
-    if m[0][0] == 0:
-        # a nonzero pivot from column 0 by a row swap, else from row 0 by a column swap
-        i = next((i for i in range(1, rows) if m[i][0] != 0), None)
-        j = next((j for j in range(1, cols) if m[0][j] != 0), None)
-        if i is not None:
-            m[0], m[i] = m[i], m[0]
-            left[0], left[i] = left[i], left[0]
-        elif j is not None:
-            for row in m:
-                row[0], row[j] = row[j], row[0]
-    while any(m[0][1:]) or any(row[0] for row in m[1:]):
-        reduce(lambda j: m[j][0], rows, _mix_rows, (m, left))
-        reduce(lambda j: m[0][j], cols, _mix_columns, (m,))
-    pivot = m[0][0]
-    if pivot < 0:
-        pivot = m[0][0] = -pivot
-        left[0] = [-e for e in left[0]]
+    for t in range(size):
+        if m[t][t] == 0:
+            # a nonzero pivot from column t by a row swap, else from row t by a column swap
+            i = next((i for i in range(t + 1, rows) if m[i][t] != 0), None)
+            j = next((j for j in range(t + 1, cols) if m[t][j] != 0), None)
+            if i is not None:
+                m[t], m[i] = m[i], m[t]
+                left[t], left[i] = left[i], left[t]
+            elif j is not None:
+                for row in m:
+                    row[t], row[j] = row[j], row[t]
+        while any(m[t][t + 1 :]) or any(row[t] for row in m[t + 1 :]):
+            reduce(t, lambda j: m[j][t], rows, _mix_rows, (m, left))
+            reduce(t, lambda j: m[t][j], cols, _mix_columns, (m,))
+        if m[t][t] < 0:
+            m[t][t] = -m[t][t]
+            left[t] = [-e for e in left[t]]
 
-    invs = ()
-    if rows > 1 and cols > 1:
-        invs, sub_left = _smith_lists([row[1:] for row in m[1:]], rows - 1, cols - 1)
-        # left <- (1 (+) sub_left) left
-        lower = list(zip(*left[1:]))
-        left = [left[0]] + [[sum(x * y for x, y in zip(r, c)) for c in lower] for r in sub_left]
-    if pivot == 0:
-        # a zero pivot goes last
-        return invs + (0,), left[1:] + left[:1]
-    result = [pivot, *invs]
-    # the pivot need not divide the rest: move gcd forward, lcm back
-    for i in range(len(result) - 1):
-        a, b = result[i], result[i + 1]
-        if b == 0 or b % a == 0:
-            break
-        x, _y, d = _gcdext(a, b)
-        alpha = a // d
-        _mix_rows(left, i, i + 1, 1, 0, x, 1)
-        _mix_rows(left, i, i + 1, 1, -alpha, 0, 1)
-        _mix_rows(left, i, i + 1, 0, 1, -1, 0)
-        result[i], result[i + 1] = d, b * alpha
-    return tuple(result), left
-
-
-def _smith(matrix):
-    """(invariants, left) of an integer matrix m: left @ m = diag(invariants) @ R^-1.
-
-    `invariants` is a tuple of min(rows, cols) nonnegative Python ints, each
-    dividing the next (zeros last); `left` is a unimodular object array of
-    Python ints.  R is a unimodular right transform that is never formed.
-    """
-    rows, cols = matrix.shape
-    invs, left = _smith_lists([[int(x) for x in row] for row in matrix], rows, cols)
-    return invs, np.array(left, dtype=object).reshape(rows, rows)
+    invs = []
+    for t in reversed(range(size)):
+        if m[t][t] == 0:
+            # a zero pivot goes last
+            invs.append(0)
+            left[t:] = left[t + 1 :] + left[t : t + 1]
+            continue
+        invs.insert(0, m[t][t])
+        # the pivot need not divide the rest: move gcd forward, lcm back
+        for i in range(len(invs) - 1):
+            a, b = invs[i], invs[i + 1]
+            if b == 0 or b % a == 0:
+                break
+            x, _y, d = _gcdext(a, b)
+            alpha = a // d
+            _mix_rows(left, t + i, t + i + 1, 1, 0, x, 1)
+            _mix_rows(left, t + i, t + i + 1, 1, -alpha, 0, 1)
+            _mix_rows(left, t + i, t + i + 1, 0, 1, -1, 0)
+            invs[i], invs[i + 1] = d, b * alpha
+    return tuple(invs), np.array(left, dtype=object).reshape(rows, rows)
 
 
 def dual_group(data, fusion):

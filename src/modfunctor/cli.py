@@ -71,7 +71,7 @@ __all__ = ["Report", "UsageError", "parse_surface_literal", "run_command", "main
 
 
 class UsageError(Exception):
-    """Bad arguments; rendered as usage text with exit code 2."""
+    """Bad arguments; exit code 2."""
 
 
 @dataclass
@@ -154,9 +154,9 @@ def _tolerance():
     try:
         value = float(raw)
     except ValueError:
-        raise UsageError(f"error: MF_TOL: not a number: {raw!r}") from None
+        raise UsageError(f"MF_TOL: not a number: {raw!r}") from None
     if not 0 < value < math.inf:
-        raise UsageError(f"error: MF_TOL: must be a positive finite number, got {raw!r}")
+        raise UsageError(f"MF_TOL: must be a positive finite number, got {raw!r}")
     return value
 
 
@@ -444,24 +444,23 @@ def run_command(argv):
         args = parser.parse_args(list(argv))
         if args.command is None:
             raise UsageError(parser.format_usage())
-        tol = _tolerance()
-        handler = {
-            "info": _cmd_info,
-            "dims": _cmd_dims,
-            "characters": _cmd_characters,
-            "scaling": _cmd_scaling,
-            "verify": _cmd_verify,
-            "export": _cmd_export,
-        }[args.command]
-        code, report = handler(args, tol)
-    except UsageError as exc:
+    except UsageError as exc:  # argparse's message and usage, as argparse words them
         return 2, Report({"error": str(exc)}, str(exc))
-    except (FamilyError, FileFormatError, ScaleLimit, OSError) as exc:
-        msg = f"error: {exc}"
-        return 2, Report({"error": str(exc)}, msg)
-    except (InvalidModularData, ValidationFailure) as exc:
-        msg = f"error: {exc}"
-        return 2, Report({"error": str(exc)}, msg)
+    handler = {
+        "info": _cmd_info,
+        "dims": _cmd_dims,
+        "characters": _cmd_characters,
+        "scaling": _cmd_scaling,
+        "verify": _cmd_verify,
+        "export": _cmd_export,
+    }[args.command]
+    try:
+        code, report = handler(args, _tolerance())
+    except (
+        UsageError, FamilyError, FileFormatError, ScaleLimit, OSError,
+        InvalidModularData, ValidationFailure,
+    ) as exc:
+        return 2, Report({"error": str(exc)}, f"error: {exc}")
     if getattr(args, "json", False):
         report = Report(report.machine, json.dumps(report.machine, sort_keys=True, indent=2))
     return code, report

@@ -331,9 +331,9 @@ def gauss_sum_delta(data, conjugate=False):
     return complex(np.sum(tpow * dims**2))
 
 
-def anomaly_scalar(data, s, conjugate=False):
+def anomaly_scalar(data, s):
     """(Delta^{-1} D)^s for an integer framing weight s."""
-    delta = gauss_sum_delta(data, conjugate=conjugate)
+    delta = gauss_sum_delta(data)
     if abs(delta) <= data.tol:
         raise InvalidModularData("Gauss sum vanishes within tolerance; anomaly undefined")
     return (global_D(data) / delta) ** int(s)

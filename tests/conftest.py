@@ -1,5 +1,11 @@
 """Shared fixtures: built-in family data cached once per session."""
 
+import os
+
+# before sympy is first imported: the Smith form oracle compares Bezout
+# coefficients, which gmpy2's gcdext may choose differently
+os.environ["SYMPY_GROUND_TYPES"] = "python"
+
 import pytest
 
 import modfunctor as mf

@@ -254,6 +254,14 @@ def _random_matrices():
         out.append(m)
     # rank one, so every step after the first pivot is a zero pivot
     out.append(np.outer([2, -4, 6], [3, 0, -9, 12]))
+    # tall, the certificate's shape; in the rank-one and rank-two products a
+    # zero pivot moves a left row across many rows
+    for r, c in ((30, 3), (40, 2), (25, 4)):
+        m = rng.integers(-9, 10, size=(r, c))
+        m[rng.random((r, c)) < 0.3] = 0
+        out.append(m)
+    out.append(np.outer(rng.integers(-9, 10, size=30), [0, 4, -6]))
+    out.append(rng.integers(-5, 6, size=(30, 2)) @ rng.integers(-5, 6, size=(2, 4)))
     return out
 
 
@@ -323,10 +331,13 @@ def test_smith_defining_properties_on_family_matrices():
 def test_smith_equals_sympy_decomposition():
     # sympy is a test-only dependency: the library's Smith form is a port of
     # sympy's pivot steps, so the invariant factors and the left transform
-    # must agree entry for entry (with sympy's default python ground types;
-    # gmpy2's gcdext may pick other Bezout coefficients)
+    # must agree entry for entry (with python ground types, which conftest
+    # pins: gmpy2's gcdext may pick other Bezout coefficients)
     from sympy import ZZ, Matrix
+    from sympy.external.gmpy import GROUND_TYPES
     from sympy.matrices.normalforms import smith_normal_decomp
+
+    assert GROUND_TYPES == "python"
 
     for m in _random_matrices() + list(_family_matrices()):
         if not m.size:

@@ -368,6 +368,21 @@ def test_main_prints_to_streams(capsys):
 
 @pytest.mark.parametrize(
     "argv",
+    [
+        ["dims", "su", "2", "2", "--surface", "g=0[x]"],
+        ["verify"],
+        ["dims", "su", "2", "2", "--surface", "torus"],
+    ],
+)
+def test_refusals_print_one_error_line(capsys, argv):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
     [["dims", "su", "2", "2", "--surface", "g=600[]"], ["dims", "su", "3", "2", "--surface", "g=300[1,1]"]],
 )
 def test_dims_refuses_an_overflowing_closed_form(capsys, argv):
