@@ -7,6 +7,8 @@ characters, and solves the scaling equations that make duality, gluing
 and Hermitian structure strictly compatible.
 """
 
+from types import ModuleType as _ModuleType
+
 from .characters import (
     DualGroupPresentation,
     GroupCharacter,
@@ -27,7 +29,6 @@ from .fileio import (
 )
 from .lie import (
     LieData,
-    YoungDiagram,
     alcove_weights,
     parse_young_label,
     simple_lie_modular_data,
@@ -88,4 +89,7 @@ from .surfaces import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names; the submodules bound by the imports above stay out
+__all__ = sorted(
+    name for name, value in vars().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

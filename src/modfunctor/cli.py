@@ -199,8 +199,10 @@ def _cmd_dims(args, tol):
     data, meta = parse_family(args.family, tol=tol)
     fusion = verlinde_fusion(data)
     surface = parse_surface_literal(args.surface, data)
-    by_recursion = state_dim(data, fusion, surface)
+    # the closed form first: a sum it cannot decide is refused before the
+    # recursion, whose cost grows with the genus, runs at all
     by_verlinde = state_dim_verlinde(data, surface)
+    by_recursion = state_dim(data, fusion, surface)
     ok = by_recursion == by_verlinde
     human = (
         f"family: {meta['family']}   surface: {args.surface.strip()}\n"

@@ -15,23 +15,23 @@ Two construction routes are provided:
 Both produce a :class:`~modfunctor.modular_data.ModularData` whose
 S-matrix is exactly unitary up to floating point roundoff and whose first
 row is real positive.  In addition this module knows the combinatorial
-side of the special-unitary family (Young-diagram labels and their
-transpose-complement duality).
+side of the special-unitary family: a Young diagram is the tuple of its
+positive, weakly decreasing row lengths (the empty tuple is the unit),
+with its label string and its transpose-complement duality.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .modular_data import DEFAULT_TOL, InvalidModularData, ModularData, ScaleLimit
 
 __all__ = [
-    "YoungDiagram",
     "young_label",
     "parse_young_label",
     "su_level_labels",
@@ -52,87 +52,59 @@ _LIE_TERM_CAP = 10**7
 # Young diagrams and the special-unitary label set
 
 
-@dataclass(frozen=True, order=True)
-class YoungDiagram:
-    """Partition with weakly decreasing positive rows; the empty tuple is the unit."""
-
-    rows: tuple
-
-    def __post_init__(self):
-        rows = tuple(int(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if any(r <= 0 for r in rows):
-            raise InvalidModularData(f"rows must be positive: {rows}")
-        if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
-            raise InvalidModularData(f"rows must be weakly decreasing: {rows}")
-
-    @property
-    def size(self):
-        """Number of boxes."""
-        return sum(self.rows)
-
-    def __str__(self):
-        return young_label(self)
-
-
-def young_label(diagram):
+def young_label(rows):
     """Canonical label string: row lengths joined by '.', the empty diagram is "0"."""
-    if not diagram.rows:
+    if not rows:
         return "0"
-    return ".".join(str(r) for r in diagram.rows)
+    return ".".join(str(r) for r in rows)
 
 
 def parse_young_label(text):
-    """Inverse of :func:`young_label`."""
+    """Inverse of :func:`young_label`: the row tuple, positive and weakly decreasing."""
     text = text.strip()
     if text == "0":
-        return YoungDiagram(())
+        return ()
     try:
         rows = tuple(int(p) for p in text.split("."))
     except ValueError:
         raise InvalidModularData(f"cannot parse diagram label {text!r}") from None
-    return YoungDiagram(rows)
+    if any(r <= 0 for r in rows):
+        raise InvalidModularData(f"rows must be positive: {rows}")
+    if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
+        raise InvalidModularData(f"rows must be weakly decreasing: {rows}")
+    return rows
 
 
 def su_level_labels(N, k):
-    """Diagrams with fewer than N rows and first row at most k.
+    """Row tuples of the diagrams with fewer than N rows and first row at most k.
 
-    Sorted by size then lexicographically by rows; the unit (empty diagram)
+    Sorted by size then lexicographically by rows; the unit (empty tuple)
     comes first.  The count is binomial(N - 1 + k, k).
     """
     if N < 2:
         raise InvalidModularData("N must be at least 2")
     if k < 0:
         raise InvalidModularData("level must be nonnegative")
-    out = []
-
-    def extend(prefix, biggest):
-        out.append(YoungDiagram(tuple(prefix)))
-        if len(prefix) == N - 1:
-            return
-        for p in range(1, min(biggest, k) + 1):
-            extend(prefix + [p], p)
-
-    extend([], k)
-    out.sort(key=lambda d: (d.size, d.rows))
+    # each multiset of N - 1 rows from k..0, drawn in weakly decreasing order
+    out = [tuple(r for r in rows if r) for rows in combinations_with_replacement(range(k, -1, -1), N - 1)]
+    out.sort(key=lambda rows: (sum(rows), rows))
     return out
 
 
-def young_dagger(N, diagram):
-    """Duality on diagrams: complement in the lambda_1 x N box, rows reversed.
+def young_dagger(N, rows):
+    """Duality on row tuples: complement in the lambda_1 x N box, rows reversed.
 
     Row r of the result is lambda_1 - lambda_{N+1-r} (missing rows read as 0,
     zero rows dropped).  Involutive, and size(d) + size(dagger) = N * lambda_1.
     """
-    rows = diagram.rows
     if len(rows) >= N:
         raise InvalidModularData(f"{rows} has too many rows for N={N}")
     if not rows:
-        return diagram
+        return rows
     top = rows[0]
     full = list(rows) + [0] * (N - len(rows))
     out = tuple(top - full[N - 1 - r] for r in range(N))
-    return YoungDiagram(tuple(r for r in out if r > 0))
+    return tuple(r for r in out if r > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +115,7 @@ def _su_weight_vectors(N, labels):
     """Shifted-parts vectors lambda + rho in the N-coordinate model, as int64."""
     X = np.zeros((len(labels), N), dtype=np.int64)
     for a, lam in enumerate(labels):
-        X[a, : len(lam.rows)] = lam.rows
+        X[a, : len(lam)] = lam
     return X + np.arange(N - 1, -1, -1, dtype=np.int64)
 
 
@@ -172,10 +144,11 @@ def _normalize_s(raw):
 def su_modular_data(N, k, tol=DEFAULT_TOL):
     """Modular data of the special-unitary family of rank N at level k.
 
-    Labels are Young diagrams (see :func:`su_level_labels`), the dual map is
-    :func:`young_dagger`, twists are e^{pi i <lambda, lambda+2 rho>/(k+N)} and
-    the S-matrix entries are Weyl-group alternating sums, each an N x N
-    determinant of kappa-th roots of unity e^{-2 pi i l_i m_j/kappa}
+    Labels are the :func:`young_label` strings of :func:`su_level_labels`,
+    the dual map is :func:`young_dagger`, twists are
+    e^{pi i <lambda, lambda+2 rho>/(k+N)} and the S-matrix entries are
+    Weyl-group alternating sums, each an N x N determinant of kappa-th
+    roots of unity e^{-2 pi i l_i m_j/kappa}
     (kappa = k + N, l and m the integer vectors lambda + rho and mu + rho,
     whose entries lie in 0..kappa-1) read from one kappa x kappa phase
     table.  S is symmetric, so the upper triangle is built one row at a
@@ -336,8 +309,8 @@ class LieData:
     rho : the all-ones weight.
     weyl : list of (matrix, sign) pairs covering the whole group.
     longest : matrix of the longest element.
-    marks, comarks : expansion of the highest root over simple roots and
-        coroots; dual_coxeter = 1 + sum(comarks).
+    comarks : expansion of the highest root's coroot over simple coroots;
+        dual_coxeter = 1 + sum(comarks).
     """
 
     def __init__(self, cartan_type, rank, level):
@@ -364,13 +337,13 @@ class LieData:
         self.longest = next(
             M for M, _ in self.weyl if np.array_equal(M @ np.ones(rank, dtype=np.int64), -np.ones(rank, dtype=np.int64))
         )
-        self.marks, self.comarks = self._highest_root_marks()
+        self.comarks = self._highest_root_comarks()
         self.dual_coxeter = 1 + sum(self.comarks)
         if self.dual_coxeter.denominator != 1:
             raise InvalidModularData("comarks do not sum to an integer")
         self.dual_coxeter = int(self.dual_coxeter)
 
-    def _highest_root_marks(self):
+    def _highest_root_comarks(self):
         roots = set()
         for M, _ in self.weyl:
             for i in range(self.rank):
@@ -385,8 +358,7 @@ class LieData:
             if best is None or ints.sum() > best.sum():
                 best = ints
         marks = tuple(int(x) for x in best)
-        comarks = tuple(m * d for m, d in zip(marks, self.symmetrizers))
-        return marks, comarks
+        return tuple(m * d for m, d in zip(marks, self.symmetrizers))
 
     def inner(self, x, y):
         """Invariant form on weights in Dynkin coordinates."""

@@ -35,7 +35,7 @@ def su_s_matrix_oracle(N, k):
     kappa = k + N
     X = np.tile(np.arange(N - 1, -1, -1, dtype=float), (n, 1))
     for a, lam in enumerate(labels):
-        X[a, : len(lam.rows)] += lam.rows
+        X[a, : len(lam)] += lam
     sums = X.sum(axis=1)
     raw = np.empty((n, n), dtype=complex)
     chunk = max(1, int(2e6 // (n * N * N)))
@@ -58,7 +58,7 @@ def su_twist_oracle(N, k):
     out = {}
     for lam in mf.su_level_labels(N, k):
         p = np.zeros(N)
-        p[: len(lam.rows)] = lam.rows
+        p[: len(lam)] = lam
         q = p @ (p + 2 * rho) - p.sum() * (p + 2 * rho).sum() / N
         out[mf.young_label(lam)] = cmath.exp(1j * math.pi * q / (k + N))
     return out
@@ -66,7 +66,7 @@ def su_twist_oracle(N, k):
 
 def su_mu_tilde(N, diagram):
     """Exact value |lambda| / N in Q/Z of the dual fundamental group character."""
-    return Fraction(diagram.size, N) % 1
+    return Fraction(sum(diagram), N) % 1
 
 
 def coupon_sign(N, k, m):

@@ -180,7 +180,7 @@ def test_ac05_frobenius_schur_pattern(capsys):
                 elif N == 3:
                     want = 1
                 else:
-                    want = (-1) ** sum(mf.parse_young_label(lab).rows)
+                    want = (-1) ** sum(mf.parse_young_label(lab))
                 ok = ok and nu == want
                 checked += 1
     _emit(capsys, "AC5 indicator pattern", ok, f"{checked} labels across 15 families")

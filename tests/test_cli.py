@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -383,10 +384,19 @@ def test_refusals_print_one_error_line(capsys, argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [["dims", "su", "2", "2", "--surface", "g=600[]"], ["dims", "su", "3", "2", "--surface", "g=300[1,1]"]],
+    [
+        ["dims", "su", "2", "2", "--surface", "g=600[]"],
+        ["dims", "su", "3", "2", "--surface", "g=300[1,1]"],
+        ["dims", "su", "3", "3", "--surface", "g=100000[]"],
+    ],
 )
-def test_dims_refuses_an_overflowing_closed_form(capsys, argv):
-    # the S-matrix sum overflows to inf (or NaN) before it could be rounded
+def test_dims_refuses_an_overflowing_closed_form(capsys, monkeypatch, argv):
+    # the S-matrix sum overflows to inf (or NaN) before it could be rounded,
+    # and the refusal comes before the recursion, quadratic in the genus, runs
+    def recursion(*args):
+        raise AssertionError("the fusion recursion ran")
+
+    monkeypatch.setattr(cli, "state_dim", recursion)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(argv) == 2
@@ -399,6 +409,15 @@ def test_dims_refuses_an_overflowing_closed_form(capsys, argv):
 def test_main_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_star_import_binds_the_api_and_no_submodule():
+    namespace = {}
+    exec("from modfunctor import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == mf.__all__
+    assert not [name for name, value in namespace.items() if isinstance(value, types.ModuleType)]
+    assert "YoungDiagram" not in namespace and "su_level_labels" in namespace
 
 
 def test_runtime_never_imports_sympy():

@@ -6,6 +6,7 @@ derivable, so they pin down the general construction; cross-family
 agreement (partition model vs Dynkin-label model) covers the rest.
 """
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -100,8 +101,25 @@ def test_su_labels_and_counts():
 def test_young_label_round_trip():
     for text in ("0", "3", "2.1", "4.4.1"):
         assert mf.young_label(mf.parse_young_label(text)) == text
-    with pytest.raises(Exception):
-        mf.parse_young_label("1.2")  # rows must be weakly decreasing
+    # rows must be weakly decreasing and positive, and the text must be integers
+    for text in ("1.2", "2.0", "0.1", "", "a"):
+        with pytest.raises(mf.InvalidModularData):
+            mf.parse_young_label(text)
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+def test_su_level_labels_match_an_independent_enumeration(N):
+    for k in range(9):
+        grid = itertools.product(range(k + 1), repeat=N - 1)
+        want = [tuple(r for r in t if r) for t in grid if all(a >= b for a, b in zip(t, t[1:]))]
+        want.sort(key=lambda rows: (sum(rows), rows))
+        labels = mf.su_level_labels(N, k)
+        assert labels == want
+        assert len(labels) == math.comb(N - 1 + k, k)
+        for d in labels:
+            dagger = mf.young_dagger(N, d)
+            assert mf.young_dagger(N, dagger) == d
+            assert sum(d) + sum(dagger) == N * (d[0] if d else 0)
 
 
 def test_young_dagger():
@@ -209,7 +227,7 @@ def test_a_series_matches_partition_model():
         # partition -> Dynkin labels a_i = lambda_i - lambda_{i+1}
         mapping = {}
         for lab in su.labels:
-            rows = list(mf.parse_young_label(lab).rows) + [0] * N
+            rows = list(mf.parse_young_label(lab)) + [0] * N
             dynkin = tuple(rows[i] - rows[i + 1] for i in range(N - 1))
             mapping[lab] = weight_label(dynkin)
         perm = [lie.index(mapping[lab]) for lab in su.labels]
