@@ -7,12 +7,14 @@ the group G of invertible labels, those i with i (x) dual(i) simple
 (Gelaki-Nikshych, "Nilpotent fusion categories", 2008): every character
 of U is the monodromy charge i -> S_gi S_00 / (S_0g S_0i) of exactly one
 g in G.  :func:`dual_group` therefore reads only G's multiplication
-table, from the fusion slices of the labels with |dim| = 1, and |G| rows
-of S, never the full fusion support.  The integer Smith normal form
-that presents the group, and whose left transform spans the kernel behind
-the certificate below, is computed in place in Python ints with sympy's
-pivot steps in sympy's order, and only its invariant factors and left
-transform are formed; sympy is needed only by the tests.  Character
+table, from the label permutations sigma_g that :func:`verlinde_fusion`
+finds and certifies (``FusionTensor.currents``), and |G| rows of S; it
+reads no fusion slice and never the full fusion support.  The integer
+Smith normal form that presents the group, and whose left transform
+spans the kernel behind the certificate below, is computed in place in
+Python ints with sympy's pivot steps in sympy's order, and only its
+invariant factors and left transform are formed; sympy is needed only
+by the tests.  Character
 values are rationals mod 1 (the exponent of e^{2 pi i x}), stored as
 :class:`fractions.Fraction`, so everything downstream is exact.
 
@@ -37,7 +39,6 @@ from .modular_data import (
     InvalidModularData,
     ScaleLimit,
     fs_indicators,
-    quantum_dims,
     verlinde_fusion,
 )
 
@@ -52,8 +53,6 @@ __all__ = [
 ]
 
 _ENUM_CAP = 10**6
-# loose on purpose: a candidate that is not invertible costs only its slice
-_INVERTIBLE_DIM_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -230,23 +229,20 @@ def dual_group(data, fusion):
     factors d_j and a basis g_j of G; label i then has coordinates
     d_j q_{g_j}(i) mod d_j.  The invariant factors are canonical; the
     images are canonical only up to an automorphism of the group.
-    G is found among the labels with |dim| = 1, each confirmed and
-    multiplied by its own slice ``fusion.slice(g)``; no other slice is read.
+    G and its multiplication g h = sigma_g(h) are ``fusion.currents``, the
+    invertible labels and their permutations that :func:`verlinde_fusion`
+    found while checking the fusion rules; no slice is read.
 
     Raises :class:`InvalidModularData`, naming both labels, when a charge
     of g_j is not a d_j-th root of unity within `data.tol`.
     """
-    # |dim g| = 1 is necessary (dim g dim g* = 1, dim g* = dim g); each
-    # candidate is confirmed by its own slice: sum_k N_{g* g}^k = 1
-    dims = np.abs(quantum_dims(data))
-    candidates = np.flatnonzero(np.abs(dims - 1) <= _INVERTIBLE_DIM_TOL)
-    group = [int(g) for g in candidates if fusion.slice(g)[data.dual_index(g)].sum() == 1]
+    group = sorted(fusion.currents)
     pos = {g: a for a, g in enumerate(group)}
     rels = np.zeros((len(group) ** 2, len(group)), dtype=np.int64)
     for r, (g, h) in enumerate(product(group, group)):
         rels[r, pos[g]] += 1
         rels[r, pos[h]] += 1
-        rels[r, pos[int(np.argmax(fusion.slice(g)[h]))]] -= 1  # g h is the one k with N_hg^k = 1
+        rels[r, pos[int(fusion.currents[g][h])]] -= 1
     invs, left = _smith(rels.T)
     kept = [a for a, d in enumerate(invs) if d > 1]
     factors = tuple(invs[a] for a in kept)

@@ -6,9 +6,13 @@ twist for every label.  Everything else in the package (fusion rules,
 state-space dimensions, character groups, scaling solvers) is computed
 from these four pieces of data.  The handle operator ``FusionTensor.handle``
 and the indicators (:func:`fs_indicators`) are closed forms in S.
-:func:`verlinde_fusion` checks every fusion coefficient once and returns a
-:class:`FusionTensor`, which the library reads only by slice N[:, j, :],
-each built when first read; nothing in the library stacks the dense n^3
+:func:`verlinde_fusion` finds the group of invertible labels (simple
+currents) and their label permutations, checks the Verlinde sum once per
+pair of orbit representatives, certifies every other coefficient by the
+simple-current identity of S, and returns a :class:`FusionTensor`.  The
+library reads it only by slice N[:, j, :], each built when first read and,
+for a label that does not represent its orbit, permuted from its
+representative's slice; nothing in the library stacks the dense n^3
 tensor.
 
 Construction performs *structural* checks only (shapes, bijectivity,
@@ -48,7 +52,10 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-_BLOCK = 1 << 18  # entries per row block of the Verlinde and handle checks
+_BLOCK = 1 << 18  # entries per row block of every check in verlinde_fusion
+# loose on purpose: a candidate that is not invertible costs only its slice
+_INVERTIBLE_DIM_TOL = 1e-3
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 class InvalidModularData(ValueError):
@@ -177,6 +184,14 @@ class FusionTensor:
     torus with points x and dual(y), and `handle_column_max` its largest
     column sum.
 
+    `currents` maps each invertible label J (simple current, the unit
+    included) to its label permutation sigma_J(x) = J (x) x, a read-only
+    int64 array; together they form the group G, and g h = sigma_g(h).
+    :func:`verlinde_fusion` fills it; it is empty on a tensor built by
+    hand.  For a label j = sigma_J(r) whose orbit representative r is
+    another label, `slice_of(j)` is the column permutation
+    N_j[:, sigma_J(y)] = N_r[:, y] of the representative's slice.
+
     Compared (and hashed) by identity: the tensor is derived data, so two
     instances built from the same category are interchangeable anyway.
     """
@@ -186,6 +201,7 @@ class FusionTensor:
         if handle.shape != (n, n):
             raise InvalidModularData("handle operator shape does not match label count")
         self.labels = tuple(labels)
+        self.currents = {}
         self.handle = handle
         self.handle_column_max = _column_max(handle)
         self.column_max = {}
@@ -347,18 +363,184 @@ def _integer_tolerance(atol, scale):
     return np.minimum(np.maximum(atol, 5e-12 * scale), 0.45)
 
 
+def _closure(generators, z, n):
+    """{J: sigma_J} over the group the label permutations `generators` generate, J = sigma_J(z).
+
+    None when two members send the unit z to the same label, which the
+    fusion with invertible labels never does.
+    """
+    group = {z: np.arange(n)}
+    todo = [group[z]]
+    while todo:
+        P = todo.pop()
+        for sigma in generators:
+            Q = sigma[P]
+            J = int(Q[z])
+            if J not in group:
+                group[J] = Q
+                todo.append(Q)
+            elif not np.array_equal(group[J], Q):
+                return None
+    return group
+
+
+def _permutation(S, Sct, z, J, step):
+    """sigma_J when the rounded slice (N_J)_{xy} = N_{xJ}^y is a permutation matrix, else None.
+
+    Built in row blocks of `step` rows, stopping at the first block that
+    is not part of a permutation matrix.
+    """
+    n = len(S)
+    w = S[J] / S[z]
+    sigma = np.empty(n, dtype=np.int64)
+    for x0 in range(0, n, step):
+        block = np.round(((S[x0 : x0 + step] * w) @ Sct).real)
+        if block.min() < 0 or np.any(block.sum(axis=1) != 1):
+            return None
+        sigma[x0 : x0 + step] = block.argmax(axis=1)
+    return sigma if np.array_equal(np.sort(sigma), np.arange(n)) else None
+
+
+def _simple_currents(S, Sct, z, step):
+    """{J: sigma_J} over the group G of invertible labels J, sigma_J(x) = J (x) x.
+
+    |dim J| = 1 is necessary, so the candidates are the labels whose |dim| is
+    within `_INVERTIBLE_DIM_TOL` of 1, in label order.  A candidate outside
+    the group found so far joins when its own rounded slice is a
+    permutation matrix, which is sigma_J, and the group grows to all that
+    sigma_J and the earlier generators generate: for su(N)_k one slice
+    gives all N permutations.  :func:`verlinde_fusion` checks the identity
+    that certifies every member.
+    """
+    n = len(S)
+    dims = np.abs(S[z] / S[z, z])
+    generators, group = [], {z: np.arange(n)}
+    for J in np.flatnonzero(np.abs(dims - 1) <= _INVERTIBLE_DIM_TOL):
+        if int(J) in group:
+            continue
+        sigma = _permutation(S, Sct, z, J, step)
+        grown = None if sigma is None else _closure(generators + [sigma], z, n)
+        if grown is not None:
+            generators.append(sigma)
+            group = grown
+    return group
+
+
+def _orbit_bound(S, z, currents, step):
+    """`bound` of :func:`verlinde_fusion`, with (I) checked on every entry of S for every current.
+
+    Works in row blocks of `step` rows and returns before the handle check,
+    so none of its blocks is alive next to that check's.
+    """
+    n = len(S)
+    row0 = S[z]
+    delta = nu = 0.0
+    p = 1.0
+    for J, sigma in currents.items():
+        psi = S[J] / row0
+        nu = max(nu, float(np.max(np.abs(np.abs(psi) ** 2 - 1))))
+        p = max(p, float(np.max(np.abs(psi))))
+        for x0 in range(0, n, step):
+            residual = S[sigma[x0 : x0 + step]]
+            residual -= S[x0 : x0 + step] * psi
+            delta = max(delta, float(np.max(np.abs(residual))))
+    m = s = 0.0
+    for x0 in range(0, n, step):
+        block = np.abs(S[x0 : x0 + step])
+        s = max(s, float(block.max()))
+        m = max(m, float(np.max(block**2 @ (1 / np.abs(row0)))))
+    return m * ((3 + p) * delta + s * (nu + 8 * (n + 8) * _UNIT_ROUNDOFF))
+
+
+def _handle(S, Sct, row0, atol, step):
+    """The int64 handle operator S diag(S_{0r}^{-2}) S^dagger, checked row block by row block.
+
+    Each entry must round within :func:`_integer_tolerance` of the
+    magnitude of its terms, or :class:`NonIntegralFusion` is raised.
+    """
+    n = len(S)
+    weight = row0**-2
+    abs_t = np.abs(S).T
+    handle = np.empty((n, n), dtype=np.int64)
+    worst, bad = 0.0, False
+    for j0 in range(0, n, step):
+        rows = S[j0 : j0 + step]
+        dev = (rows * weight) @ Sct
+        handle[j0 : j0 + step] = rounded = np.round(dev.real)
+        dev = np.abs(dev - rounded)
+        scale = (np.abs(rows) * np.abs(weight)) @ abs_t
+        bad = bad or bool(np.any(dev > _integer_tolerance(atol, scale)))
+        worst = max(worst, float(dev.max()))
+    if bad:
+        raise NonIntegralFusion(f"handle operator deviates from integers by up to {worst:.3e}")
+    return handle
+
+
 def verlinde_fusion(data, atol=None):
     """Fusion multiplicities N_{ij}^k = sum_r S_{ir} S_{jr} conj(S_{kr}) / S_{0r}.
 
-    Every entry must round to a nonnegative integer within `atol`
-    (default: `data.tol`), and the handle operator S diag(S_{0r}^{-2}) S^dagger
-    to integers within :func:`_integer_tolerance`; otherwise
+    Every coefficient must lie within `atol` (default: `data.tol`) of a
+    nonnegative integer, and the handle operator S diag(S_{0r}^{-2}) S^dagger
+    must round to integers within :func:`_integer_tolerance`; otherwise
     :class:`NonIntegralFusion` is raised, which signals that (S, theta) is
-    not valid modular data.  The sum is symmetric in i and j, so the check
-    visits each coefficient once, with i <= j.  Both checks run in row
-    blocks of at most `_BLOCK` entries (whole rows of the upper triangle
-    while n <= 512) and keep none of them: the returned
-    :class:`FusionTensor` rounds a slice again when it is first read.
+    not valid modular data.
+
+    Simple currents.  An invertible label J permutes the labels by
+    sigma_J(x) = J (x) x, and its rows of S satisfy (Schellekens-Yankielowicz,
+    IJMPA 5 (1990) 2903)
+
+        (I)  S_{sigma_J(x), r} = psi_J(r) S_{xr},  psi_J(r) = S_{Jr} / S_{0r}.
+
+    :func:`_simple_currents` finds the group G of these labels.  (I) is
+    checked on every entry of S for every J in G; delta is its largest
+    residual, nu = max | |psi_J(r)|^2 - 1 | and p = max |psi_J(r)|.  Each
+    label is sigma_a(i) for some a in G and the least label i of its orbit,
+    its representative.  The integrality and negativity checks visit only
+    the pairs i <= j of representatives (the sum is symmetric in i and j),
+    with every k.  With G = {0} every label represents itself, and these are
+    all pairs i <= j.
+
+    Bound.  Write T(x, y, k) for the exact sum, s = max |S_{xr}| and
+    m = max_x sum_r |S_{xr}|^2 / |S_{0r}|, so that
+    sum_r |S_{yr}| |S_{kr}| / |S_{0r}| <= m for all y, k (Cauchy-Schwarz with
+    weights 1 / |S_{0r}|).  Let x = sigma_a(i), y = sigma_b(j), c the member
+    with sigma_c = sigma_a sigma_b, and k' = sigma_c^{-1}(k).  (I) for a in
+    row i and then in row y moves the current from x to y, and (I) for c in
+    row j and in row k', with |psi_c|^2 = 1 + (|psi_c|^2 - 1), moves it to k:
+
+        |T(x, y, k) - T(i, sigma_c(j), k)| <= 2 delta m,
+        |T(i, sigma_c(j), k) - T(i, j, k')| <= (1 + p) delta m + nu s m.
+
+    So N_{xy}^k = N_{ij}^{k'} while the sums lie within 1/2 of integers:
+    slice(sigma_c(j)) = slice(j)[:, sigma_c^{-1}] and
+    N[sigma_a(i), y, :] = N[i, y, sigma_a^{-1}].  A computed sum is within
+    4 (n + 8) u of the exact one times the magnitude of its terms,
+    sum_r |S_{xr} S_{yr} S_{kr} / S_{0r}| <= s m (u = 2^-53): per term one
+    complex division and one complex product, each within a few u, then a
+    complex dot product whose real and imaginary parts each add 2n real
+    products in whatever order the BLAS picks, within sqrt(2) gamma_{2n}
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    sections 3.1 and 3.6); that is about (2.9 n + 10) u to first order, and
+    4 (n + 8) u leaves room for the rest.  Counting it once for the
+    representative's computed sum and once for the coefficient's own, a
+    non-representative coefficient lies within
+
+        bound = m ((3 + p) delta + s (nu + 8 (n + 8) u))
+
+    of its integer beyond the representatives' largest deviation.  When G is
+    larger than {0} the reported deviation is that maximum plus `bound`,
+    and it alone is compared with `atol`: a residual of (I) fails as a
+    coefficient that is not an integer.  The negative-coefficient error
+    names a representative triple.
+
+    Every check runs in row blocks of at most `_BLOCK` entries (whole rows
+    of the upper triangle while n <= 512) and keeps none of them: the
+    returned :class:`FusionTensor` rounds a representative's slice again
+    when it is first read and permutes its columns for the rest of the
+    orbit.  The handle check (:func:`_handle`) visits every row and runs
+    first, so its failure is the one raised: it is measured entry by entry,
+    where the fusion verdict on the non-representative pairs rests on
+    `bound`.
     """
     if atol is None:
         atol = data.tol
@@ -370,18 +552,35 @@ def verlinde_fusion(data, atol=None):
     n = data.n
     step = max(1, _BLOCK // n)
     Sct = S.conj().T
+
+    handle = _handle(S, Sct, row0, atol, step)
+    currents = _simple_currents(S, Sct, z, step)
+    perms = np.array(list(currents.values()))
+    rep = perms.min(axis=0)  # the orbit of x is {sigma_J(x)}; its least label
+    via = np.empty(n, dtype=np.int64)  # x = sigma_{via[x]}(rep[x])
+    for J, sigma in currents.items():
+        via[sigma[rep]] = J
+    reps = np.flatnonzero(rep == np.arange(n))
+
     dev = 0.0
     lowest, where = 0, None
-    for i in range(n):
+    for i in reps:
         w = S[i] / row0
-        for j0 in range(i, n, step):
-            raw = (S[j0 : j0 + step] * w) @ Sct  # raw[j, k] = N_{i, j0 + j}^k
+        later = reps[reps >= i]
+        for t in range(0, len(later), step):
+            js = later[t : t + step]
+            rows = S[js]
+            rows *= w
+            raw = rows @ Sct  # raw[a, k] = N_{i, js[a]}^k
             rounded = np.round(raw.real)
             dev = max(dev, float(np.max(np.abs(raw - rounded))))
             low = rounded.min()
             if low < lowest:
-                j, k = np.unravel_index(int(np.argmin(rounded)), rounded.shape)
-                lowest, where = int(low), (i, j0 + int(j), int(k))
+                a, k = np.unravel_index(int(np.argmin(rounded)), rounded.shape)
+                lowest, where = int(low), (int(i), int(js[a]), int(k))
+
+    if len(currents) > 1:
+        dev += _orbit_bound(S, z, currents, step)
     if dev > atol:
         raise NonIntegralFusion(f"fusion coefficients deviate from integers by {dev:.3e} > {atol:.3e}")
     if where is not None:
@@ -390,26 +589,19 @@ def verlinde_fusion(data, atol=None):
             f"negative fusion coefficient {lowest} at "
             f"({data.labels[i]}, {data.labels[j]}, {data.labels[k]})"
         )
-    weight = row0**-2
-    abs_t = np.abs(S).T
-    handle = np.empty((n, n), dtype=np.int64)
-    worst, bad = 0.0, False
-    for j0 in range(0, n, step):
-        rows = S[j0 : j0 + step]
-        raw = (rows * weight) @ Sct
-        rounded = np.round(raw.real)
-        scale = (np.abs(rows) * np.abs(weight)) @ abs_t
-        dev = np.abs(raw - rounded)
-        bad = bad or bool(np.any(dev > _integer_tolerance(atol, scale)))
-        worst = max(worst, float(dev.max()))
-        handle[j0 : j0 + step] = rounded
-    if bad:
-        raise NonIntegralFusion(f"handle operator deviates from integers by up to {worst:.3e}")
+
+    for sigma in currents.values():
+        sigma.setflags(write=False)
 
     def slice_of(j):
-        return np.round(((S * (S[j] / row0)) @ Sct).real).astype(np.int64)
+        # N_j[:, sigma(y)] = N_r[:, y] for the representative r and sigma(r) = j
+        M = np.empty((n, n), dtype=np.int64)
+        M[:, currents[int(via[j])]] = np.round(((S * (S[rep[j]] / row0)) @ Sct).real)
+        return M
 
-    return FusionTensor(data.labels, slice_of, handle)
+    fusion = FusionTensor(data.labels, slice_of, handle)
+    fusion.currents = currents
+    return fusion
 
 
 def fs_indicators(data):

@@ -1,6 +1,7 @@
 """Grading group presentations, characters, and the symplectic search."""
 
 import functools
+import hashlib
 import itertools
 from fractions import Fraction
 from unittest import mock
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import modfunctor as mf
-from modfunctor import characters, lie
+from modfunctor import characters, cli, lie
 from modfunctor.characters import (
     GroupCharacter,
     _build_certificate,
@@ -57,6 +58,35 @@ def test_dual_group_matches_oracle(tokens):
         for coeffs in itertools.product(*(range(d) for d in factors))
     }
     assert len(table) == pres.torsion_order
+
+
+# sha256 of `--json characters F`, pinned while `dual_group` still found G
+# by reading fusion slices
+CHARACTERS_JSON_SHA256 = {
+    "su 4 6": "4cc077797ad62cfb213e37ac3803d8d86cd7b76d04f8c5a4e6494d1bab523274",
+    "su 3 6": "89ec5511f461d4a3f89211e282d7276b5ef886f5d74c278a6ed58aa516fb1701",
+    "lie D 4 2": "469102e2a0b727ba316f9b71136506d4b8025b561bf3ffdf33d52b94b0dfe1d1",
+}
+
+
+@pytest.mark.parametrize("family", sorted(CHARACTERS_JSON_SHA256))
+def test_characters_read_the_group_from_the_fusion_tensor(monkeypatch, family):
+    # G and its products come from FusionTensor.currents: once the check has
+    # returned, no slice is read, and the output is unchanged
+    check = cli.verlinde_fusion
+
+    def refuse(self, j):
+        raise AssertionError(f"slice {j} read")
+
+    def check_then_refuse_slices(data):
+        fusion = check(data)
+        monkeypatch.setattr(mf.FusionTensor, "slice", refuse)
+        return fusion
+
+    monkeypatch.setattr(cli, "verlinde_fusion", check_then_refuse_slices)
+    code, report = run_command(["--json", "characters", *family.split()])
+    assert code == 0, report.human
+    assert hashlib.sha256(report.human.encode()).hexdigest() == CHARACTERS_JSON_SHA256[family]
 
 
 def test_su48_group_without_relation_matrix():

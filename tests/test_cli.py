@@ -435,3 +435,17 @@ def test_runtime_never_imports_sympy():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_dims_and_characters_never_import_numpy_random():
+    # importing numpy.random alone adds about 6 MB to the peak RSS of a run
+    script = (
+        "import sys\n"
+        "from modfunctor.cli import run_command\n"
+        "for argv in (['dims', 'su', '4', '6', '--surface', 'g=2[1,1]'], ['characters', 'su', '4', '6']):\n"
+        "    assert run_command(argv)[0] == 0, argv\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

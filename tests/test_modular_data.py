@@ -171,6 +171,146 @@ def fusion_oracle(data):
     return N
 
 
+def slice_oracle(data, j):
+    """Slice j by the eager route: round(S diag(S_j/S_0) S^dagger), for every label alike."""
+    S = data.S
+    return np.round(((S * (S[j] / S[data.index(data.zero)])) @ S.conj().T).real).astype(np.int64)
+
+
+def full_check(data, atol=None):
+    """The Verlinde check over every pair i <= j, then the handle check, with no simple currents.
+
+    Returns (deviation, outcome): the largest deviation over the whole upper
+    triangle, and the error message of the first failed check (deviation,
+    negative coefficient, handle, in that order), or the integer handle
+    operator when every check passes.
+    """
+    atol = data.tol if atol is None else atol
+    S = data.S
+    row0 = S[data.index(data.zero)]
+    Sct = S.conj().T
+    dev, lowest, where = 0.0, 0, None
+    for i in range(data.n):
+        raw = (S[i:] * (S[i] / row0)) @ Sct  # raw[j - i, k] = N_{ij}^k
+        rounded = np.round(raw.real)
+        dev = max(dev, float(np.max(np.abs(raw - rounded))))
+        if rounded.min() < lowest:
+            j, k = np.unravel_index(int(np.argmin(rounded)), rounded.shape)
+            lowest, where = int(rounded.min()), (i, i + int(j), int(k))
+    raw = (S * row0**-2) @ Sct
+    handle = np.round(raw.real)
+    scale = (np.abs(S) * np.abs(row0**-2)) @ np.abs(S).T
+    handle_dev = np.abs(raw - handle)
+    if dev > atol:
+        return dev, f"fusion coefficients deviate from integers by {dev:.3e} > {atol:.3e}"
+    if where is not None:
+        i, j, k = (data.labels[x] for x in where)
+        return dev, f"negative fusion coefficient {lowest} at ({i}, {j}, {k})"
+    if np.any(handle_dev > mf.modular_data._integer_tolerance(atol, scale)):
+        return dev, f"handle operator deviates from integers by up to {handle_dev.max():.3e}"
+    return dev, handle.astype(np.int64)
+
+
+def reported_deviation(data):
+    """The fusion deviation `verlinde_fusion` reports, read from its error at a tolerance nothing meets."""
+    with pytest.raises(mf.NonIntegralFusion, match="fusion coefficients deviate") as info:
+        mf.verlinde_fusion(data, 1e-300)
+    return float(re.search(r"by (\S+) >", str(info.value)).group(1))
+
+
+def assert_reported_deviation_bounds(data, dev):
+    # the report is rounded to four digits; rounding keeps the order
+    assert reported_deviation(data) >= float(f"{dev:.3e}")
+
+
+# the 42 distinct families: the built-in ones, then those the grading and
+# large-fusion benchmarks add
+DISTINCT_FAMILIES = builtin_tokens() + [
+    ("su", 3, 6),
+    ("su", 5, 3),
+    ("lie", "D", 4, 2),
+    ("su", 4, 6),
+    ("su", 5, 4),
+    ("su", 4, 7),
+    ("su", 5, 5),
+    ("su", 4, 8),
+    ("su", 5, 6),
+]
+
+
+@pytest.mark.parametrize("tokens", DISTINCT_FAMILIES, ids=lambda t: " ".join(map(str, t)))
+def test_orbit_check_agrees_with_full_check(tokens):
+    data = get_family(*tokens)
+    fusion = mf.verlinde_fusion(data)
+    dev, handle = full_check(data)
+    assert np.array_equal(fusion.handle, handle)
+    for j in range(data.n):
+        want = slice_oracle(data, j)
+        assert np.array_equal(fusion.slice(j), want)
+        assert fusion.column_max[j] == max(1, want.sum(axis=0).max())
+    assert_reported_deviation_bounds(data, dev)
+
+
+FIXED_POINT_FAMILIES = [("su", 2, 2), ("su", 3, 3), ("su", 4, 2), ("su", 4, 4), ("su", 6, 2), ("su", 6, 3)]
+
+
+def _negated(data, label):
+    """D S D with D = -1 at `label`: integral, but with negative coefficients."""
+    flip = np.ones(data.n)
+    flip[data.index(label)] = -1
+    return _rebuild(data, S=data.S * np.outer(flip, flip))
+
+
+def _bent(data, x, amount):
+    """S with S[x, r] and S[r, x] moved by `amount`, r the column of least |S_0r|."""
+    S = data.S.copy()
+    r = int(np.argmin(np.abs(S[data.index(data.zero)])))
+    S[x, r] += amount
+    S[r, x] += amount
+    return _rebuild(data, S=S)
+
+
+@pytest.mark.parametrize("tokens", FIXED_POINT_FAMILIES, ids=lambda t: " ".join(map(str, t)))
+def test_fixed_point_families_match_full_check(tokens):
+    data = get_family(*tokens)
+    fusion = mf.verlinde_fusion(data)
+    # some label is fixed by an invertible label other than the unit
+    z = data.index(data.zero)
+    assert any(np.any(sigma == np.arange(data.n)) for J, sigma in fusion.currents.items() if J != z)
+    dev, handle = full_check(data)
+    assert np.array_equal(fusion.handle, handle)
+    for j in range(data.n):
+        assert np.array_equal(fusion.slice(j), slice_oracle(data, j))
+    # negative coefficients; then fusion within 0.1 of integers, the handle not
+    for bad, atol in ((_negated(data, data.labels[-1]), None), (_bent(data, 1, 0.02), 0.1)):
+        _dev, want = full_check(bad, atol)
+        assert isinstance(want, str)
+        with pytest.raises(mf.NonIntegralFusion) as info:
+            mf.verlinde_fusion(bad, atol)
+        assert str(info.value) == want
+    assert_reported_deviation_bounds(data, dev)
+
+
+@pytest.mark.parametrize(
+    "tokens", [("su", 3, 3), ("su", 4, 4), ("su", 5, 3)], ids=lambda t: " ".join(map(str, t))
+)
+def test_corrupt_entry_off_the_representatives_is_caught(monkeypatch, tokens):
+    data = get_family(*tokens)
+    currents = mf.verlinde_fusion(data).currents
+    least = np.min(list(currents.values()), axis=0)
+    x = int(np.flatnonzero(least != np.arange(data.n))[-1])  # the last label that represents no orbit
+    bad = _bent(data, x, 1e-6)
+    dev, outcome = full_check(bad)
+    assert isinstance(outcome, str)
+    with pytest.raises(mf.NonIntegralFusion, match="deviate"):
+        mf.verlinde_fusion(bad)
+    # with the handle check blind, the bound alone names the fusion relation
+    monkeypatch.setattr(mf.modular_data, "_integer_tolerance", lambda atol, scale: np.inf)
+    with pytest.raises(mf.NonIntegralFusion, match="fusion coefficients deviate from integers by"):
+        mf.verlinde_fusion(bad)
+    assert_reported_deviation_bounds(bad, dev)
+
+
 @pytest.mark.parametrize(
     "tokens", builtin_tokens() + [("lie", "D", 4, 1), ("su", 4, 8)], ids=lambda t: " ".join(map(str, t))
 )
@@ -210,6 +350,37 @@ def test_negative_coefficient_error_names_a_negative_triple(su32):
     assert N[bad.index(i), bad.index(j), bad.index(k)] == int(value) < 0
 
 
+def orbit_deviation(data):
+    """The fusion deviation `verlinde_fusion` reports, from orbits found by the eager slices.
+
+    J is invertible when slice J is a permutation matrix, sigma_J its
+    position per row.  The representatives' largest deviation, plus the
+    bound of the `verlinde_fusion` docstring when some J is not the unit.
+    """
+    S = data.S
+    n = data.n
+    row0 = S[data.index(data.zero)]
+    currents = {}
+    for J in range(n):
+        M = slice_oracle(data, J)
+        if M.min() >= 0 and np.all(M.sum(axis=0) == 1) and np.all(M.sum(axis=1) == 1):
+            currents[J] = M.argmax(axis=1)
+    reps = np.flatnonzero(np.min(list(currents.values()), axis=0) == np.arange(n))
+    dev = 0.0
+    for i in reps:
+        raw = (S[reps[reps >= i]] * (S[i] / row0)) @ S.conj().T
+        dev = max(dev, float(np.max(np.abs(raw - np.round(raw.real)))))
+    if len(currents) == 1:
+        return dev
+    psi = {J: S[J] / row0 for J in currents}
+    delta = max(float(np.max(np.abs(S[sigma] - S * psi[J]))) for J, sigma in currents.items())
+    nu = max(float(np.max(np.abs(np.abs(phase) ** 2 - 1))) for phase in psi.values())
+    p = max(float(np.max(np.abs(phase))) for phase in psi.values())
+    m = float(np.max(np.abs(S) ** 2 @ (1 / np.abs(row0))))
+    s = float(np.max(np.abs(S)))
+    return dev + m * ((3 + p) * delta + s * (nu + 8 * (n + 8) * 2.0**-53))
+
+
 @pytest.mark.parametrize("family", [("su", 3, 2), ("su", 4, 3)], ids=lambda t: " ".join(map(str, t)))
 def test_row_blocks_give_the_same_tensor_and_errors(monkeypatch, family):
     data = get_family(*family)
@@ -238,9 +409,9 @@ def test_row_blocks_give_the_same_tensor_and_errors(monkeypatch, family):
     assert isinstance(whole["valid"], tuple)
     assert whole["negative"].startswith("negative fusion coefficient")
     assert whole["handle"].startswith("handle operator deviates")
-    # the largest deviation over every row of the triangle, not one block's
-    tri = ((S[i:] * (S[i] / S[0])) @ S.conj().T for i in range(data.n))
-    dev = max(float(np.max(np.abs(raw - np.round(raw.real)))) for raw in tri)
+    # the largest deviation over every representative row, not one block's,
+    # plus the simple-current bound
+    dev = orbit_deviation(data)
     assert whole["deviation"] == f"fusion coefficients deviate from integers by {dev:.3e} > {1e-20:.3e}"
     # blocks of two rows or more: a one-row block is numpy's matrix-vector
     # product, whose last bits differ from the matrix product's
