@@ -6,8 +6,11 @@ A family is selected by whitespace tokens:
     lie <TYPE> <rank> <level>   simple type (A-D, F, G; rank <= 4) at a level
     file <path>             JSON document on disk
 
-`parse_family` turns tokens into validated modular data plus metadata
-suitable for export.  The BUILTIN_* tables drive the verification
+`parse_family` turns tokens into modular data plus metadata suitable for
+export.  The `su` and `lie` builders run the structural checks of
+:class:`~modfunctor.modular_data.ModularData` only; `file` input is also
+put through :func:`~modfunctor.modular_data.validate_modular_data` when
+it is loaded.  The BUILTIN_* tables drive the verification
 commands and the test suite.
 """
 

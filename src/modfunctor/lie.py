@@ -4,20 +4,24 @@ Two construction routes are provided:
 
 * :func:`su_modular_data` builds the special-unitary family at a given
   level from Young-diagram labels, using the shifted-parts realization of
-  the affine character S-matrix: each entry is a determinant of roots of
-  unity read from one kappa x kappa phase table, and one determinant
-  serves each unordered pair of labels, built one row of the upper
-  triangle at a time, and
+  the affine character S-matrix.  The Z_N simple currents split the labels
+  into orbits, each represented by its least label.  An entry between two
+  representatives is a determinant of roots of unity read from one
+  kappa x kappa phase table, one determinant per unordered pair; every
+  other entry is a representative entry times a 2N-th root of unity whose
+  exponent is an integer read off the shifted parts, so S comes out
+  exactly symmetric, and
 
 * :func:`simple_lie_modular_data` builds the same kind of data for any
   simple type of rank <= 4 by summing over the full Weyl group.
 
 Both produce a :class:`~modfunctor.modular_data.ModularData` whose
 S-matrix is exactly unitary up to floating point roundoff and whose first
-row is real positive.  In addition this module knows the combinatorial
-side of the special-unitary family: a Young diagram is the tuple of its
-positive, weakly decreasing row lengths (the empty tuple is the unit),
-with its label string and its transpose-complement duality.
+row is real positive; both hand it over read-only, so it is not copied.
+In addition this module knows the combinatorial side of the
+special-unitary family: a Young diagram is the tuple of its positive,
+weakly decreasing row lengths (the empty tuple is the unit), with its
+label string and its transpose-complement duality.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ __all__ = [
 _SU_MAX_N = 6
 _SU_MAX_K = 8
 _LIE_TERM_CAP = 10**7
+_FILL_BLOCK = 1 << 13  # entries per row block of the su S fill from its representatives
 
 
 # ---------------------------------------------------------------------------
@@ -133,27 +138,79 @@ def _roots_of_unity(m, sign):
 
 
 def _normalize_s(raw):
-    """Scale a proportional S-matrix, in place, to the unitary one with positive first row."""
+    """Scale a proportional S-matrix, in place, to the unitary one with positive first row.
+
+    The result is made read-only, so :class:`ModularData` takes it over without a copy.
+    """
     raw /= raw[0, 0] / abs(raw[0, 0])
     raw /= np.linalg.norm(raw[0])
     if np.max(np.abs(raw[0].imag)) > 1e-8 or np.min(raw[0].real) <= 0:
         raise InvalidModularData("first S row is not positive; labels outside the level alcove?")
+    raw.setflags(write=False)
     return raw
+
+
+def _su_orbits(X, kappa):
+    """Orbits of the shifted-parts vectors X under the Z_N simple currents.
+
+    A vector l (strictly decreasing, l_N = 0, entries in 0..kappa-1) is
+    stored as the bit set sum 2^{l_a}, so the translate (l - c) mod kappa,
+    re-sorted, is that set rotated by c.  Returns (where, orbit): where[b]
+    is the label whose bit set is b, and orbit[a, t] the translate of label
+    a by c = X[a, t], below which lie N - 1 - t of its entries.  Row a of
+    `orbit` is the whole orbit of a, with repeats at fixed points.
+    """
+    bits = (1 << X).sum(axis=1)
+    where = np.empty(1 << kappa, dtype=np.int64)
+    where[bits] = np.arange(len(X))
+    b = bits[:, None]
+    return where, where[((b >> X) | (b << (kappa - X))) & ((1 << kappa) - 1)]
 
 
 def su_modular_data(N, k, tol=DEFAULT_TOL):
     """Modular data of the special-unitary family of rank N at level k.
 
-    Labels are the :func:`young_label` strings of :func:`su_level_labels`,
-    the dual map is :func:`young_dagger`, twists are
-    e^{pi i <lambda, lambda+2 rho>/(k+N)} and the S-matrix entries are
-    Weyl-group alternating sums, each an N x N determinant of kappa-th
-    roots of unity e^{-2 pi i l_i m_j/kappa}
-    (kappa = k + N, l and m the integer vectors lambda + rho and mu + rho,
-    whose entries lie in 0..kappa-1) read from one kappa x kappa phase
-    table.  S is symmetric, so the upper triangle is built one row at a
-    time, one determinant per unordered pair, and mirrored; the workspace
-    beside S is one row's n N^2 entries.  Desk scale only: N <= 6, k <= 8.
+    Labels are the :func:`young_label` strings of :func:`su_level_labels`
+    and twists are e^{pi i <lambda, lambda+2 rho>/(k+N)}.  With
+    kappa = k + N, a label is its vector l = lambda + rho of shifted parts
+    (strictly decreasing, l_N = 0, entries in 0..kappa-1), and the dual of
+    l is l_1 - reversed(l), the shifted parts of :func:`young_dagger`.
+    Up to one scalar, the S entry of labels l and m is the Weyl-group
+    alternating sum
+
+        S_{lm} ~ det[e^{-2 pi i l_a m_b/kappa}] e^{2 pi i |l| |m|/(N kappa)},
+
+    an N x N determinant of roots of unity read from one kappa x kappa
+    phase table, times the traceless-projection prefactor (|l| = sum_a l_a).
+
+    Orbits.  The simple currents send l to its translates (l - c) mod
+    kappa, re-sorted, for c in l (:func:`_su_orbits`): N labels, fewer at
+    fixed points.  The least label of an orbit is its representative, as
+    in :func:`~modfunctor.modular_data.verlinde_fusion`.  Let x be the
+    translate of the representative i by c, and w_x the number of entries
+    of l_i below c.  Re-sorting moves those w_x entries, raised by kappa,
+    to the front: a cyclic shift of sign (-1)^{w_x (N - w_x)}.  The shift
+    by c multiplies the determinant by e^{2 pi i c |m|/kappa}, and
+    |x| = |l_i| - N c + kappa w_x makes the prefactor cancel that phase
+    and leave e^{2 pi i w_x |m|/N}.  So (Schellekens-Yankielowicz,
+    IJMPA 5 (1990) 2903)
+
+        S_{x,y} = (-1)^{w_x (N - w_x)} e^{2 pi i w_x |m_y|/N} S_{i,y},
+
+    and, applied on both sides with y the translate of the representative j,
+
+        S_{x,y} = zeta^E S_{i,j},  zeta = e^{pi i/N},
+        E = N w_x (N - w_x) + N w_y (N - w_y) + 2 w_x |m_y| + 2 w_y |l_i|  (mod 2N).
+
+    Only the r (r + 1)/2 pairs i <= j of the r representatives take a
+    determinant, one batch per representative row, mirrored.  Every entry
+    is then one product of a table entry and a representative entry, filled
+    in row blocks of at most `_FILL_BLOCK` entries.  E is symmetric in x
+    and y as an integer mod 2N, because |m_y| - |m_j| = kappa w_y and
+    |l_x| - |l_i| = kappa w_x (mod N), so S is exactly symmetric.  Where
+    several c give the same x (a fixed point) any of them is right; the
+    least w_x is taken, which is 0 on the representatives themselves.
+    Desk scale only: N <= 6, k <= 8.
     """
     if not (2 <= N <= _SU_MAX_N):
         raise ScaleLimit(f"N={N} outside supported range 2..{_SU_MAX_N}")
@@ -164,16 +221,40 @@ def su_modular_data(N, k, tol=DEFAULT_TOL):
     kappa = k + N
     X = _su_weight_vectors(N, labels)
     sums = X.sum(axis=1)
+    where, orbit = _su_orbits(X, kappa)
+    rep = orbit.min(axis=1)
+    reps = np.flatnonzero(rep == np.arange(n))
+    w = np.empty(n, dtype=np.int64)
+    for t in range(N):  # a later column has the smaller w: the least wins, 0 on the representatives
+        w[orbit[reps, t]] = N - 1 - t
+
     res = np.arange(kappa)
     phase = _roots_of_unity(kappa, -1)[np.outer(res, res) % kappa]  # phase[l, m] = e^{-2 pi i l m/kappa}
+    Xr = X[reps]
+    core = np.empty((len(reps), len(reps)), dtype=complex)
+    # row a of the representatives' upper triangle, det[phase[l_a, m_b]] for b >= a, then mirrored
+    for a in range(len(reps)):
+        row = np.linalg.det(phase[Xr[a, None, :, None], Xr[a:, None, :]])
+        core[a, a:] = row
+        core[a:, a] = row
+    sr = sums[reps]
+    core *= _roots_of_unity(N * kappa, 1)[np.outer(sr, sr) % (N * kappa)]
+
+    zeta = _roots_of_unity(2 * N, 1)
+    sign = N * w * (N - w)  # the re-sorting sign (-1)^{w (N - w)} as a power of zeta
+    at = np.searchsorted(reps, rep)  # row of core for each label's representative
     raw = np.empty((n, n), dtype=complex)
-    # row a of the upper triangle, det[phase[l_a, m_b]] for b >= a, then mirrored
-    for a in range(n):
-        row = np.linalg.det(phase[X[a, None, :, None], X[a:, None, :]])
-        raw[a, a:] = row
-        raw[a:, a] = row
-    # traceless-projection prefactor e^{2 pi i |l| |m| / (N kappa)}
-    raw *= _roots_of_unity(N * kappa, 1)[np.outer(sums, sums) % (N * kappa)]
+    step = max(1, _FILL_BLOCK // n)
+    for x0 in range(0, n, step):
+        xs = slice(x0, x0 + step)
+        E = np.multiply.outer(w[xs], 2 * sums)  # E of the docstring, row block xs
+        E += np.multiply.outer(2 * sums[rep[xs]], w)
+        E += sign[xs, None]
+        E += sign
+        E %= 2 * N
+        block = raw[xs]
+        block[...] = core[at[xs, None], at]
+        block *= zeta[E]
     S = _normalize_s(raw)
 
     # theta = e^{2 pi i r/m} with m = 2 N kappa and r = N <lambda, lambda + 2 rho>
@@ -187,11 +268,11 @@ def su_modular_data(N, k, tol=DEFAULT_TOL):
     m = 2 * N * kappa
     r = (N * ((X * X).sum(axis=1) - rho @ rho) - size * (size + N * (N - 1))) % m
     phases = np.exp((2j * np.pi / m) * np.where(2 * r > m, r - m, r))
-    theta = {young_label(lam): complex(t) for lam, t in zip(labels, phases)}
 
     names = [young_label(lam) for lam in labels]
-    dual = {young_label(lam): young_label(young_dagger(N, lam)) for lam in labels}
-    return ModularData(names, "0", dual, S, theta, tol=tol)
+    theta = dict(zip(names, phases.tolist()))
+    dual = where[(1 << (X[:, :1] - X)).sum(axis=1)].tolist()  # dual(l) = l_1 - reversed(l), as a bit set
+    return ModularData(names, "0", {a: names[d] for a, d in zip(names, dual)}, S, theta, tol=tol)
 
 
 # ---------------------------------------------------------------------------

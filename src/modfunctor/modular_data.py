@@ -12,7 +12,7 @@ pair of orbit representatives, certifies every other coefficient by the
 simple-current identity of S, and returns a :class:`FusionTensor`.  The
 library reads it only by slice N[:, j, :], each built when first read and,
 for a label that does not represent its orbit, permuted from its
-representative's slice; nothing in the library stacks the dense n^3
+representative's cached slice; nothing in the library stacks the dense n^3
 tensor.
 
 Construction performs *structural* checks only (shapes, bijectivity,
@@ -99,6 +99,8 @@ class ModularData:
         Comparison tolerance used by all derived numeric checks.
 
     Instances are treated as immutable; the S-matrix is stored read-only.
+    A read-only array that owns its data (as both Lie builders hand over)
+    is kept as it is; any other array of the caller's is copied.
     All operations on the data are pure functions, so values may be shared
     freely across threads.
     """
@@ -119,7 +121,7 @@ class ModularData:
             raise InvalidModularData("dual map must be defined on exactly the label set")
         if set(dual.values()) != set(labels):
             raise InvalidModularData("dual map must be a bijection of the label set")
-        S = np.asarray(S, dtype=complex)
+        given, S = S, np.asarray(S, dtype=complex)
         n = len(labels)
         if S.shape != (n, n):
             raise InvalidModularData(f"S must be {n}x{n}, got {S.shape}")
@@ -135,7 +137,10 @@ class ModularData:
                 raise InvalidModularData(f"theta[{a!r}] is not finite: {theta[a]}")
         if not 0 < tol < math.inf:
             raise InvalidModularData("tol must be a positive finite number")
-        S = S.copy()
+        # a fresh conversion, or a read-only array that owns its data, is taken
+        # over; anything the caller could still write through is copied
+        if not S.flags.owndata or (S is given and S.flags.writeable):
+            S = S.copy()
         S.setflags(write=False)
         self.labels = labels
         self.zero = zero
@@ -172,12 +177,25 @@ def _column_max(M):
     return max(1, int(M.sum(axis=0).max()))
 
 
+def _orbits(currents, n):
+    """(rep, via) with x = sigma_{via[x]}(rep[x]), rep[x] the least label of x's orbit under `currents`.
+
+    With no currents every label represents itself.
+    """
+    rep, via = np.arange(n), np.zeros(n, dtype=np.int64)
+    for sigma in currents.values():
+        np.minimum(rep, sigma, out=rep)
+    for J, sigma in currents.items():
+        via[sigma[rep]] = J
+    return rep, via
+
+
 class FusionTensor:
     """Integer fusion multiplicities N[i, j, k] = N_{ij}^k in label order, read by slice.
 
     `slice(j)` is N[:, j, :], the int64 matrix (N_j)_{xy} = N_{xj}^y; it is
-    built by `slice_of(j)` on first use and cached, with its largest column
-    sum in `column_max[j]`.  It is the one access format: the fusion
+    built on first use and cached, with its largest column sum in
+    `column_max[j]`.  It is the one access format: the fusion
     identities and the recursion all read slices.  `N` is the dense stack,
     kept only for the tests and the benchmark.  `handle` is the integer
     handle operator H = sum_j N_j N_{j*}; H_{xy} is the dimension of the
@@ -188,9 +206,11 @@ class FusionTensor:
     included) to its label permutation sigma_J(x) = J (x) x, a read-only
     int64 array; together they form the group G, and g h = sigma_g(h).
     :func:`verlinde_fusion` fills it; it is empty on a tensor built by
-    hand.  For a label j = sigma_J(r) whose orbit representative r is
-    another label, `slice_of(j)` is the column permutation
-    N_j[:, sigma_J(y)] = N_r[:, y] of the representative's slice.
+    hand, where every label represents its own orbit.  `slice_of(r)` is
+    called only for a representative r, the least label of its orbit.  For
+    a label j = sigma_J(r) whose representative r is another label,
+    `slice(j)` is the column permutation N_j[:, sigma_J(y)] = N_r[:, y] of
+    the cached `slice(r)`, and `column_max[j]` is `column_max[r]`.
 
     Compared (and hashed) by identity: the tensor is derived data, so two
     instances built from the same category are interchangeable anyway.
@@ -207,28 +227,50 @@ class FusionTensor:
         self.column_max = {}
         self._slice_of = slice_of
         self._slices = {}
+        self._rep_via = None
         self._N = None
+
+    def _representative(self, j):
+        """(r, sigma_J) with j = sigma_J(r) and r the least label of j's orbit under `currents`."""
+        if self._rep_via is None:
+            self._rep_via = _orbits(self.currents, len(self.labels))
+        rep, via = self._rep_via
+        return int(rep[j]), self.currents.get(int(via[j]))
 
     def slice(self, j):
         """N[:, j, :] as an int64 matrix (N_j)_{xy} = N_{xj}^y, cached."""
         M = self._slices.get(j)
         if M is None:
-            M = self._slices[j] = self._slice_of(j)
+            r, sigma = self._representative(j)
+            if r == j:
+                M = self._slice_of(j)
+                self.column_max[j] = _column_max(M)
+            else:  # permuting the columns keeps every column sum
+                R = self.slice(r)
+                M = np.empty_like(R)
+                M[:, sigma] = R
+                self.column_max[j] = self.column_max[r]
             M.setflags(write=False)
-            self.column_max[j] = _column_max(M)
+            self._slices[j] = M
         return M
 
     @property
     def N(self):
-        """The read-only dense (n, n, n) tensor, built from `slice_of` on first access.
+        """The read-only dense (n, n, n) tensor, built on first access.
 
-        Cached on its own: it neither reads nor fills the slice cache.
+        `slice_of` gives the representatives' slices, and the rest of each
+        orbit is permuted from them.  Cached on its own: it neither reads
+        nor fills the slice cache.
         """
         if self._N is None:
             n = len(self.labels)
             N = np.empty((n, n, n), dtype=np.int64)
             for j in range(n):
-                N[:, j, :] = self._slice_of(j)
+                r, sigma = self._representative(j)
+                if r == j:
+                    N[:, j, :] = self._slice_of(j)
+                else:  # r < j is already in place
+                    N[:, j, sigma] = N[:, r, :]
             N.setflags(write=False)
             self._N = N
         return self._N
@@ -536,11 +578,11 @@ def verlinde_fusion(data, atol=None):
     Every check runs in row blocks of at most `_BLOCK` entries (whole rows
     of the upper triangle while n <= 512) and keeps none of them: the
     returned :class:`FusionTensor` rounds a representative's slice again
-    when it is first read and permutes its columns for the rest of the
-    orbit.  The handle check (:func:`_handle`) visits every row and runs
-    first, so its failure is the one raised: it is measured entry by entry,
-    where the fusion verdict on the non-representative pairs rests on
-    `bound`.
+    when it is first read, and permutes the columns of that cached slice
+    for the rest of the orbit.  The handle check (:func:`_handle`) visits
+    every row and runs first, so its failure is the one raised: it is
+    measured entry by entry, where the fusion verdict on the
+    non-representative pairs rests on `bound`.
     """
     if atol is None:
         atol = data.tol
@@ -555,12 +597,7 @@ def verlinde_fusion(data, atol=None):
 
     handle = _handle(S, Sct, row0, atol, step)
     currents = _simple_currents(S, Sct, z, step)
-    perms = np.array(list(currents.values()))
-    rep = perms.min(axis=0)  # the orbit of x is {sigma_J(x)}; its least label
-    via = np.empty(n, dtype=np.int64)  # x = sigma_{via[x]}(rep[x])
-    for J, sigma in currents.items():
-        via[sigma[rep]] = J
-    reps = np.flatnonzero(rep == np.arange(n))
+    reps = np.flatnonzero(_orbits(currents, n)[0] == np.arange(n))
 
     dev = 0.0
     lowest, where = 0, None
@@ -593,11 +630,8 @@ def verlinde_fusion(data, atol=None):
     for sigma in currents.values():
         sigma.setflags(write=False)
 
-    def slice_of(j):
-        # N_j[:, sigma(y)] = N_r[:, y] for the representative r and sigma(r) = j
-        M = np.empty((n, n), dtype=np.int64)
-        M[:, currents[int(via[j])]] = np.round(((S * (S[rep[j]] / row0)) @ Sct).real)
-        return M
+    def slice_of(r):
+        return np.round(((S * (S[r] / row0)) @ Sct).real).astype(np.int64)
 
     fusion = FusionTensor(data.labels, slice_of, handle)
     fusion.currents = currents

@@ -54,14 +54,18 @@ def test_su2_twists_match_conformal_weights():
 
 # the su families of the benchmark's large-fusion workload, n = 84 to 210
 LARGE_SU = ((4, 6), (5, 4), (4, 7), (5, 5), (4, 8), (5, 6))
+# fixed points of the simple currents (su 6 2, 6 3, 6 4), one label (su 3 0), n = 495 (su 5 8)
+EDGE_SU = ((6, 2), (6, 3), (6, 4), (3, 0), (5, 8))
+# 25 su families: the built-ins, larger ones up to n = 210 and two with fixed points
+ORBIT_SU = BUILTIN_SU + ((3, 6), (5, 3)) + LARGE_SU + ((6, 2), (6, 3))
 
 
-@pytest.mark.parametrize("N, k", BUILTIN_SU + LARGE_SU)
+@pytest.mark.parametrize("N, k", BUILTIN_SU + LARGE_SU + EDGE_SU)
 def test_su_s_matrix_matches_per_entry_oracle(N, k):
     S = get_family("su", N, k).S
     oracle = su_s_matrix_oracle(N, k)
     assert np.max(np.abs(S - oracle)) < 1e-13
-    assert np.array_equal(S, S.T)  # one determinant per unordered pair
+    assert np.array_equal(S, S.T)  # the phase exponent is symmetric as an integer
     eye = np.eye(len(S))
     # a few ulp of slack: where long double is plain double the table is not
     # correctly rounded (see lie._roots_of_unity)
@@ -76,6 +80,37 @@ def test_su_twists_match_float_form(N, k):
         assert abs(theta[lab] - want) < 1e-13
 
 
+def _su_representatives(N, k):
+    labels = mf.su_level_labels(N, k)
+    _where, orbit = lie._su_orbits(lie._su_weight_vectors(N, labels), k + N)
+    return np.flatnonzero(orbit.min(axis=1) == np.arange(len(labels)))
+
+
+@pytest.mark.parametrize("N, k", ORBIT_SU)
+def test_su_representatives_are_the_fusion_orbit_minima(N, k):
+    data = get_family("su", N, k)
+    currents = get_fusion(data).currents
+    assert len(currents) == N
+    want = np.unique(np.min(list(currents.values()), axis=0))
+    assert np.array_equal(_su_representatives(N, k), want)
+
+
+@pytest.mark.parametrize("N, k", [(2, 2), (3, 3), (4, 5), (6, 3), (5, 6)])
+def test_su_s_build_takes_one_determinant_per_representative_pair(monkeypatch, N, k):
+    taken = []
+    det = np.linalg.det
+
+    def counting_det(a):
+        taken.append(int(np.prod(np.shape(a)[:-2])))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    lie.su_modular_data(N, k)
+    r = len(_su_representatives(N, k))
+    assert sum(taken) == r * (r + 1) // 2
+    assert r < len(mf.su_level_labels(N, k))
+
+
 @pytest.mark.parametrize("N, k", [(5, 6), (5, 8)])
 def test_su_s_build_peak_memory(N, k):
     lie.su_modular_data(2, 1)  # first-call allocations of numpy and the label code
@@ -85,8 +120,9 @@ def test_su_s_build_peak_memory(N, k):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # S, its read-only copy in ModularData and one triangle row of workspace
-    assert peak <= 3 * 16 * data.n**2
+    # S, handed over read-only and not copied, the representatives' block
+    # and one row block of the fill
+    assert peak <= 2 * 16 * data.n**2
 
 
 def test_su_labels_and_counts():
@@ -116,10 +152,12 @@ def test_su_level_labels_match_an_independent_enumeration(N):
         labels = mf.su_level_labels(N, k)
         assert labels == want
         assert len(labels) == math.comb(N - 1 + k, k)
+        dual = mf.su_modular_data(N, k).dual  # read on shifted parts
         for d in labels:
             dagger = mf.young_dagger(N, d)
             assert mf.young_dagger(N, dagger) == d
             assert sum(d) + sum(dagger) == N * (d[0] if d else 0)
+            assert dual[mf.young_label(d)] == mf.young_label(dagger)
 
 
 def test_young_dagger():

@@ -124,6 +124,21 @@ def test_constructor_rejects_structural_garbage(su22):
         )
 
 
+def test_constructor_copies_what_the_caller_can_still_write(su22):
+    S = su22.S.copy()
+    data = _rebuild(su22, S=S)
+    S[0, 1] = 7
+    assert np.array_equal(data.S, su22.S) and not data.S.flags.writeable
+    base = su22.S.copy()
+    view = base[:]
+    view.setflags(write=False)
+    data = _rebuild(su22, S=view)
+    base[0, 1] = 7
+    assert np.array_equal(data.S, su22.S)
+    # a read-only array that owns its data, as the Lie builders hand over, is kept
+    assert _rebuild(su22, S=su22.S).S is su22.S
+
+
 @pytest.mark.parametrize("tol", [float("inf"), float("nan")])
 def test_constructor_rejects_non_finite_tol(su22, tol):
     with pytest.raises(mf.InvalidModularData, match="tol must be a positive finite number"):
@@ -335,6 +350,30 @@ def test_dense_stack_is_cached_read_only_and_apart_from_slices(su32):
     assert fusion.N is N and not N.flags.writeable
     assert fusion.column_max == {}  # the slice cache stays empty
     assert not np.shares_memory(fusion.slice(1), N)
+
+
+@pytest.mark.parametrize("tokens", [("su", 4, 4), ("su", 5, 3)], ids=lambda t: " ".join(map(str, t)))
+def test_orbit_slices_permute_the_cached_representative(monkeypatch, tokens):
+    data = get_family(*tokens)
+    built = []
+    init = mf.FusionTensor.__init__
+
+    def counting_init(self, labels, slice_of, handle):
+        def counted(j):  # one n^3 product per call
+            built.append(j)
+            return slice_of(j)
+
+        init(self, labels, counted, handle)
+
+    monkeypatch.setattr(mf.FusionTensor, "__init__", counting_init)
+    fusion = mf.verlinde_fusion(data)
+    want = fusion_oracle(data)
+    for j in reversed(range(data.n)):  # each label before its representative
+        assert np.array_equal(fusion.slice(j), want[:, j, :])
+        assert fusion.column_max[j] == max(1, want[:, j, :].sum(axis=0).max())
+    reps = np.unique(np.min(list(fusion.currents.values()), axis=0))
+    assert len(reps) < data.n
+    assert sorted(built) == reps.tolist()
 
 
 def test_negative_coefficient_error_names_a_negative_triple(su32):
