@@ -6,14 +6,17 @@ twist for every label.  Everything else in the package (fusion rules,
 state-space dimensions, character groups, scaling solvers) is computed
 from these four pieces of data.  The handle operator ``FusionTensor.handle``
 and the indicators (:func:`fs_indicators`) are closed forms in S.
-:func:`verlinde_fusion` finds the group of invertible labels (simple
-currents) and their label permutations, checks the Verlinde sum once per
-pair of orbit representatives, certifies every other coefficient by the
-simple-current identity of S, and returns a :class:`FusionTensor`.  The
-library reads it only by slice N[:, j, :], each built when first read and,
-for a label that does not represent its orbit, permuted from its
-representative's cached slice; nothing in the library stacks the dense n^3
-tensor.
+:func:`verlinde_fusion` reads the group of invertible labels (simple
+currents), their label permutations and the monodromy charge of every
+label from the rows of S, and certifies them by the simple-current
+identity of S on every entry.  It then runs every Verlinde sum on charge
+blocks: only over the columns whose charges balance, with the sum over r
+folded onto orbit representatives.  It checks once per pair of orbit
+representatives, bounds every other coefficient, and returns a
+:class:`FusionTensor`.  The library reads it only by slice N[:, j, :],
+each built when first read and, for a label that does not represent its
+orbit, permuted from its representative's cached slice; nothing in the
+library stacks the dense n^3 tensor.
 
 Construction performs *structural* checks only (shapes, bijectivity,
 label consistency, finite entries) and raises :class:`InvalidModularData`
@@ -27,6 +30,7 @@ so callers can inspect partially broken data.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -53,8 +57,10 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 _BLOCK = 1 << 18  # entries per row block of every check in verlinde_fusion
-# loose on purpose: a candidate that is not invertible costs only its slice
+# loose on purpose: a candidate that is not invertible costs only one key match
 _INVERTIBLE_DIM_TOL = 1e-3
+_KEY_TOL = 1e-8  # largest key mismatch of a simple current, relative to the largest key
+_KEY_PHASE = 1j * math.pi * (math.sqrt(5) - 1)  # key vector v_r = exp(_KEY_PHASE r), golden-ratio phases
 _UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -211,6 +217,10 @@ class FusionTensor:
     a label j = sigma_J(r) whose representative r is another label,
     `slice(j)` is the column permutation N_j[:, sigma_J(y)] = N_r[:, y] of
     the cached `slice(r)`, and `column_max[j]` is `column_max[r]`.
+    `deviation` is the fusion deviation that :func:`verlinde_fusion`
+    compared with its tolerance: the largest measured deviation of a
+    representative pair plus the derived bounds for every other
+    coefficient (None on a tensor built by hand).
 
     Compared (and hashed) by identity: the tensor is derived data, so two
     instances built from the same category are interchangeable anyway.
@@ -227,6 +237,7 @@ class FusionTensor:
         self.column_max = {}
         self._slice_of = slice_of
         self._slices = {}
+        self.deviation = None
         self._rep_via = None
         self._N = None
 
@@ -405,117 +416,123 @@ def _integer_tolerance(atol, scale):
     return np.minimum(np.maximum(atol, 5e-12 * scale), 0.45)
 
 
-def _closure(generators, z, n):
-    """{J: sigma_J} over the group the label permutations `generators` generate, J = sigma_J(z).
-
-    None when two members send the unit z to the same label, which the
-    fusion with invertible labels never does.
-    """
-    group = {z: np.arange(n)}
-    todo = [group[z]]
-    while todo:
-        P = todo.pop()
-        for sigma in generators:
-            Q = sigma[P]
-            J = int(Q[z])
-            if J not in group:
-                group[J] = Q
-                todo.append(Q)
-            elif not np.array_equal(group[J], Q):
-                return None
-    return group
+def _every(index, n):
+    """`index` as the basic slice of every label when it lists all n, so that numpy takes views."""
+    return slice(None) if len(index) == n else index
 
 
-def _permutation(S, Sct, z, J, step):
-    """sigma_J when the rounded slice (N_J)_{xy} = N_{xJ}^y is a permutation matrix, else None.
-
-    Built in row blocks of `step` rows, stopping at the first block that
-    is not part of a permutation matrix.
-    """
-    n = len(S)
-    w = S[J] / S[z]
-    sigma = np.empty(n, dtype=np.int64)
-    for x0 in range(0, n, step):
-        block = np.round(((S[x0 : x0 + step] * w) @ Sct).real)
-        if block.min() < 0 or np.any(block.sum(axis=1) != 1):
-            return None
-        sigma[x0 : x0 + step] = block.argmax(axis=1)
-    return sigma if np.array_equal(np.sort(sigma), np.arange(n)) else None
+@functools.lru_cache(maxsize=8)
+def _key_vector(n):
+    """The fixed complex vector v of :func:`_simple_currents`, v_r = exp(_KEY_PHASE r)."""
+    v = np.exp(_KEY_PHASE * np.arange(n))
+    v.setflags(write=False)
+    return v
 
 
-def _simple_currents(S, Sct, z, step):
-    """{J: sigma_J} over the group G of invertible labels J, sigma_J(x) = J (x) x.
+def _simple_currents(S, z):
+    """The (|G|, n) array whose row for J in G is sigma_J(x) = J (x) x, read from S; column z is J.
 
-    |dim J| = 1 is necessary, so the candidates are the labels whose |dim| is
-    within `_INVERTIBLE_DIM_TOL` of 1, in label order.  A candidate outside
-    the group found so far joins when its own rounded slice is a
-    permutation matrix, which is sigma_J, and the group grows to all that
-    sigma_J and the earlier generators generate: for su(N)_k one slice
-    gives all N permutations.  :func:`verlinde_fusion` checks the identity
-    that certifies every member.
-    """
-    n = len(S)
-    dims = np.abs(S[z] / S[z, z])
-    generators, group = [], {z: np.arange(n)}
-    for J in np.flatnonzero(np.abs(dims - 1) <= _INVERTIBLE_DIM_TOL):
-        if int(J) in group:
-            continue
-        sigma = _permutation(S, Sct, z, J, step)
-        grown = None if sigma is None else _closure(generators + [sigma], z, n)
-        if grown is not None:
-            generators.append(sigma)
-            group = grown
-    return group
-
-
-def _orbit_bound(S, z, currents, step):
-    """`bound` of :func:`verlinde_fusion`, with (I) checked on every entry of S for every current.
-
-    Works in row blocks of `step` rows and returns before the handle check,
-    so none of its blocks is alive next to that check's.
+    G is the group of invertible labels.  |dim J| = 1 is necessary, so the
+    candidates are the labels whose |dim| is within `_INVERTIBLE_DIM_TOL` of
+    1.  By (I) of :func:`verlinde_fusion` row sigma_J(x) of S is psi_J S_x,
+    so the keys (psi_J S_x) v over all x are the keys S v of the labels,
+    permuted by sigma_J, for a fixed complex vector v (with a real v,
+    conjugate labels would have keys of equal real part).  Both key lists
+    are sorted by real part and matched in that order, which makes sigma_J
+    a bijection; J joins when every key lies within `_KEY_TOL` of its
+    match, relative to the largest key.  The members must form a group in
+    which sigma_J(0) = J; otherwise G is the unit alone, and every label
+    is its own orbit.  :func:`verlinde_fusion` certifies every member by (I).
     """
     n = len(S)
     row0 = S[z]
-    delta = nu = 0.0
-    p = 1.0
-    for J, sigma in currents.items():
-        psi = S[J] / row0
-        nu = max(nu, float(np.max(np.abs(np.abs(psi) ** 2 - 1))))
-        p = max(p, float(np.max(np.abs(psi))))
-        for x0 in range(0, n, step):
-            residual = S[sigma[x0 : x0 + step]]
-            residual -= S[x0 : x0 + step] * psi
-            delta = max(delta, float(np.max(np.abs(residual))))
-    m = s = 0.0
-    for x0 in range(0, n, step):
-        block = np.abs(S[x0 : x0 + step])
-        s = max(s, float(block.max()))
-        m = max(m, float(np.max(block**2 @ (1 / np.abs(row0)))))
-    return m * ((3 + p) * delta + s * (nu + 8 * (n + 8) * _UNIT_ROUNDOFF))
+    unit = np.arange(n)[None]
+    cand = (np.abs(np.abs(row0 / row0[z]) - 1) <= _INVERTIBLE_DIM_TOL).nonzero()[0]
+    if len(cand) == 1:
+        return unit
+    # found[x, a] = (psi_{J_a} S_x) v; the unit's column is S v itself, the keys of the labels
+    found = S @ (S[cand] / row0 * _key_vector(n)).T
+    ranks = found.real.argsort(axis=0)
+    unit_at = int((cand == z).nonzero()[0][0])
+    keys = found[ranks[:, unit_at], unit_at]  # in order of real part
+    dist = np.abs(found[ranks, np.arange(len(cand))] - keys[:, None]).max(axis=0)
+    P = ranks[ranks.argsort(axis=0), unit_at].T  # sigma_J(x) is the label of x's rank
+    P = P[dist <= _KEY_TOL * np.abs(keys).max()]
+    pos = np.full(n, -1)
+    pos[P[:, z]] = np.arange(len(P))
+    # closed under composition: sigma_a sigma_b is the member of J_a (x) J_b = sigma_a(J_b);
+    # a label outside the set has position -1, whose row differs from it at z
+    return P if (P[:, P] == P[pos[P[:, P[:, z]]]]).all() else unit
 
 
-def _handle(S, Sct, row0, atol, step):
-    """The int64 handle operator S diag(S_{0r}^{-2}) S^dagger, checked row block by row block.
+def _current_pass(S, z, P):
+    """(Q, bound, handle_bound) of :func:`verlinde_fusion`, with (I) checked on every entry of S.
 
-    Each entry must round within :func:`_integer_tolerance` of the
-    magnitude of its terms, or :class:`NonIntegralFusion` is raised.
+    P is :func:`_simple_currents`.  Q[a, x] is the charge q_J(x) of label x
+    under J = P[a, z]; `bound` is orbit + fold + skip; `handle_bound` is
+    (u, h, w, rho) with u = A h + B rho and w = B h + rho, so that handle
+    entry (x, y) of a representative row is within u_x h_y + w_x rho_y of
+    every entry it stands for.  With G = {0} the charges are 0, `bound` is
+    0 and `handle_bound` None.  When nu or beta leaves no room for the
+    derivation the bounds are infinite.  Works in blocks of at most
+    `_BLOCK` entries per current.
     """
-    n = len(S)
-    weight = row0**-2
-    abs_t = np.abs(S).T
-    handle = np.empty((n, n), dtype=np.int64)
-    worst, bad = 0.0, False
-    for j0 in range(0, n, step):
-        rows = S[j0 : j0 + step]
-        dev = (rows * weight) @ Sct
-        handle[j0 : j0 + step] = rounded = np.round(dev.real)
-        dev = np.abs(dev - rounded)
-        scale = (np.abs(rows) * np.abs(weight)) @ abs_t
-        bad = bad or bool(np.any(dev > _integer_tolerance(atol, scale)))
-        worst = max(worst, float(dev.max()))
-    if bad:
-        raise NonIntegralFusion(f"handle operator deviates from integers by up to {worst:.3e}")
-    return handle
+    g, n = P.shape
+    if g == 1:
+        return np.zeros((1, n), dtype=np.int64), 0.0, None
+    row0 = S[z]
+    Psi = S[P[:, z]] / row0  # Psi[a, r] = psi_J(r)
+    t = Psi[:, z]
+    phi = Psi / t[:, None]
+    turns = np.arctan2(phi.imag, phi.real) * (g / (2 * np.pi))
+    Q = np.rint(turns)
+    # |phi - exp(2 pi i q / |G|)| <= ||phi| - 1| + |arg phi - 2 pi q / |G||, ||phi| - 1| <= 2 nu / (1 - nu);
+    # the computed turns carry the rounding of arctan2 and of the scaling, within 16 u of a turn's angle
+    frac = np.abs(turns - Q).max() * (2 * np.pi / g) + 16 * _UNIT_ROUNDOFF
+    Q %= g
+    mod = np.abs(Psi)
+    top = mod.max()
+    nu = max(top * top - 1, 1 - mod.min() ** 2)
+    p = max(1.0, top)
+    beta = max(abs(c.conjugate() / c - 1) for c in t.tolist())
+    inv0 = 1 / np.abs(row0)
+    inv0sq = inv0 * inv0
+    m = s2 = eps = delta = eta = 0.0
+    h2, rho2 = np.empty(n), np.zeros(n)
+    step = max(1, _BLOCK // (g * n))
+    for x0 in range(0, n, step):
+        rows = S[x0 : x0 + step]
+        a2 = np.abs(rows) ** 2
+        s2 = max(s2, a2.max())
+        m = max(m, (a2 @ inv0).max())
+        h2[x0 : x0 + step] = a2 @ inv0sq
+        eps = max(eps, np.abs(rows - S[:, x0 : x0 + step].T).max())
+        residual = np.abs(S[P[:, x0 : x0 + step]] - rows * Psi[:, None])  # (I), entry by entry
+        delta = max(delta, residual.max())
+        eta = max(eta, (residual[:, :, z] * inv0[x0 : x0 + step]).max())
+        e2 = (residual * residual).sum(axis=0)
+        rho2[x0 : x0 + step] += e2 @ inv0sq  # weighted row and column norms, summed over G
+        rho2 += inv0sq[x0 : x0 + step] @ e2
+    s = math.sqrt(s2)
+    eta += (1 + p) * eps * inv0.max()  # |S_{0, sigma_J(r)} - t S_{0r}| <= residual at (r, 0) + (1 + p) eps
+    gap = 2 * math.sin(math.pi / g)
+    if not (nu < min(gap, 1) and beta < gap):
+        inf = np.full(n, math.inf)
+        return Q, math.inf, (inf, inf, inf, inf)
+    kappa = 2 * nu / (1 - nu) + frac
+    de = delta + (1 + p) * eps + p * kappa * s
+    tau = p * (1 + eta)
+    orbit = m * ((3 + p) * delta + s * (nu + 8 * (n + 8) * _UNIT_ROUNDOFF))
+    fold = m * ((g - 1) * (nu * s + 3 * de * tau) + eta * s)
+    skip = m * (3 * de * tau + eta * s) / (gap - nu)
+    h = np.sqrt(h2)
+    rho = np.sqrt(rho2 / (1 - nu))
+    rho += kappa * h
+    if eps:
+        rho += (1 + p) * eps * math.sqrt(inv0sq.sum() / (1 - nu))
+    A = nu + (g - 1) * beta + (2 * eta + eta**2) * (1 + 1 / (gap - beta))
+    B = p + (1 + eta) * (g - 1 + 1 / (gap - beta))
+    return Q, float(orbit + fold + skip), (A * h + B * rho, h, B * h + rho, rho)
 
 
 def verlinde_fusion(data, atol=None):
@@ -533,14 +550,30 @@ def verlinde_fusion(data, atol=None):
 
         (I)  S_{sigma_J(x), r} = psi_J(r) S_{xr},  psi_J(r) = S_{Jr} / S_{0r}.
 
-    :func:`_simple_currents` finds the group G of these labels.  (I) is
-    checked on every entry of S for every J in G; delta is its largest
-    residual, nu = max | |psi_J(r)|^2 - 1 | and p = max |psi_J(r)|.  Each
-    label is sigma_a(i) for some a in G and the least label i of its orbit,
-    its representative.  The integrality and negativity checks visit only
-    the pairs i <= j of representatives (the sum is symmetric in i and j),
-    with every k.  With G = {0} every label represents itself, and these are
-    all pairs i <= j.
+    :func:`_simple_currents` reads the group G of these labels and their
+    permutations from S.  (I) is checked on every entry of S for every J in
+    G; delta is its largest residual, nu = max | |psi_J(r)|^2 - 1 | and
+    p = max(1, max |psi_J(r)|).  Each label is sigma_a(i) for some a in G
+    and the least label i of its orbit, its representative.
+
+    Charges.  With S symmetric, (I) also acts on the column index:
+    S_{x, sigma_J(r)} = psi_J(x) S_{xr}.  Write t = psi_J(0) (the dimension
+    of J) and phi_J = psi_J / t, a |G|-th root of unity; the charge of x is
+    the integer q_J(x) = round(|G| arg phi_J(x) / 2 pi) mod |G|, and labels
+    with the same charge under every J form a class.  Substituting
+    r -> sigma_J(r) in T(i, j, k) = sum_r f(r), f(r) = S_{ir} S_{jr}
+    conj(S_{kr}) / S_{0r}, multiplies the sum by |t|^2 Phi with
+    Phi = exp(2 pi i (q_J(i) + q_J(j) - q_J(k)) / |G|).  So T vanishes
+    unless k is in the class of i + j (the triple is balanced), and on a
+    balanced triple the summand is constant on each orbit of r: T is the
+    sum over representatives r weighted by their orbit size |O_r|, which is
+    smaller at a fixed point (the selection rule and orbit sum of
+    simple-current theory; Fuchs-Schellekens-Schweigert, Nucl. Phys. B 473
+    (1996) 323).  The check visits the pairs i <= j of representatives,
+    sorted by the class of i + j, and sums each only over the columns k of
+    that class and the representatives r.  With G = {0} there is one class,
+    every label represents itself, and these are all pairs i <= j with
+    every k and every r.
 
     Bound.  Write T(x, y, k) for the exact sum, s = max |S_{xr}| and
     m = max_x sum_r |S_{xr}|^2 / |S_{0r}|, so that
@@ -558,31 +591,82 @@ def verlinde_fusion(data, atol=None):
     N[sigma_a(i), y, :] = N[i, y, sigma_a^{-1}].  A computed sum is within
     4 (n + 8) u of the exact one times the magnitude of its terms,
     sum_r |S_{xr} S_{yr} S_{kr} / S_{0r}| <= s m (u = 2^-53): per term one
-    complex division and one complex product, each within a few u, then a
-    complex dot product whose real and imaginary parts each add 2n real
-    products in whatever order the BLAS picks, within sqrt(2) gamma_{2n}
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    sections 3.1 and 3.6); that is about (2.9 n + 10) u to first order, and
-    4 (n + 8) u leaves room for the rest.  Counting it once for the
-    representative's computed sum and once for the coefficient's own, a
-    non-representative coefficient lies within
+    complex division and one complex product, each within a few u (and one
+    real product by |O_r| in a folded sum), then a complex dot product whose
+    real and imaginary parts each add 2n real products in whatever order
+    the BLAS picks, within sqrt(2) gamma_{2n} (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., sections 3.1 and 3.6);
+    that is about (2.9 n + 11) u to first order, and 4 (n + 8) u leaves
+    room for the rest.  Counting it once for the representative's computed
+    sum and once for the coefficient's own, a non-representative
+    coefficient lies within
 
-        bound = m ((3 + p) delta + s (nu + 8 (n + 8) u))
+        orbit = m ((3 + p) delta + s (nu + 8 (n + 8) u))
 
-    of its integer beyond the representatives' largest deviation.  When G is
-    larger than {0} the reported deviation is that maximum plus `bound`,
-    and it alone is compared with `atol`: a residual of (I) fails as a
-    coefficient that is not an integer.  The negative-coefficient error
-    names a representative triple.
+    of its integer beyond the representatives' largest deviation.
 
-    Every check runs in row blocks of at most `_BLOCK` entries (whole rows
-    of the upper triangle while n <= 512) and keeps none of them: the
-    returned :class:`FusionTensor` rounds a representative's slice again
-    when it is first read, and permutes the columns of that cached slice
-    for the rest of the orbit.  The handle check (:func:`_handle`) visits
-    every row and runs first, so its failure is the one raised: it is
-    measured entry by entry, where the fusion verdict on the
-    non-representative pairs rests on `bound`.
+    The column action of (I) is measured, not assumed.  Let
+    eps = max |S_{xr} - S_{rx}|, kappa bound |phi_J(x) - exp(2 pi i q_J(x)
+    / |G|)| (at most 2 nu / (1 - nu) plus 2 pi / |G| times the largest
+    rounding of |G| arg phi_J / 2 pi), and eta bound
+    |w_r| = |S_{0, sigma_J(r)} / (t S_{0r}) - 1| (the residual of (I) at
+    (r, 0) plus (1 + p) eps, over |S_{0r}|).  Then
+    S_{x, sigma_J(r)} = exp(2 pi i q_J(x) / |G|) t S_{xr} + e_x(r) with
+    |e| <= de = delta + (1 + p) eps + p kappa s, and
+
+        f(sigma_J(r)) (1 + w_r) = Phi |t|^2 f(r) + D(r) / (t S_{0r}),
+
+    where D has three terms, each with one e; with 1 / |t S_{0r}| <=
+    (1 + eta) / |S_{0, sigma_J(r)}| and Cauchy-Schwarz as above,
+    sum_r |D(r)| / |t S_{0r}| <= 3 de tau m, tau = p (1 + eta).  Summed over
+    r, T = Phi |t|^2 T + sum_r D(r) / (t S_{0r}) - sum_r w_r f(sigma_J(r)).
+    An unbalanced triple has some J with Phi != 1, so |1 - Phi| >=
+    2 sin(pi / |G|) and | |t|^2 - 1 | <= nu give
+
+        skip = m (3 de tau + eta s) / (2 sin(pi / |G|) - nu)
+
+    as its distance from 0.  On a balanced triple (Phi = 1 for every J),
+    |f(sigma_J(r)) - f(r)| <= nu |f(r)| + eta |f(sigma_J(r))| +
+    |D(r) / (t S_{0r})|, and summing over the at most |G| - 1 other members
+    of each orbit, the folded sum is within
+
+        fold = m ((|G| - 1) (nu s + 3 de tau) + eta s)
+
+    of the full one.  When G is larger than {0} the reported deviation is
+    the representatives' largest deviation plus orbit + fold + skip, and it
+    alone is compared with `atol`: a residual of (I) fails as a coefficient
+    that is not an integer.  It is kept as `FusionTensor.deviation`.  The
+    negative-coefficient error names a representative triple.
+
+    Handle.  H_{xy} = sum_r g(r), g(r) = S_{xr} conj(S_{yr}) / S_{0r}^2, is
+    charge-diagonal (H_{xy} = 0 unless x and y share a class), and
+    H_{sigma_J(x), sigma_J(y)} = H_{xy}.  Only the representative rows are
+    summed, folded over r, and row sigma_J(x) is row x permuted.  Let
+    h_x = (sum_r |S_{xr}|^2 / |S_{0r}|^2)^(1/2) and beta bound
+    |conj(t) / t - 1|.  rho_x bounds the same weighted norm of the residual
+    of (I) in row x and of e_x / t: the row and column norms of the
+    residuals of every J, summed, over 1 - nu, plus kappa h_x and the eps
+    term.  The steps above with g(sigma_J(r)) (1 + w_r)^2 =
+    Phi conj(t) / t g(r) + (two terms with one e) put an off-class entry within
+    ((2 eta + eta^2) h_x h_y + (1 + eta) (rho_x h_y + h_x rho_y)) /
+    (2 sin(pi / |G|) - beta) of 0, a folded entry within
+    (|G| - 1) (beta h_x h_y + (1 + eta) (rho_x h_y + h_x rho_y)) +
+    (2 eta + eta^2) h_x h_y of the full one, and a moved row within
+    nu h_x h_y + rho_x (p h_y + rho_y) + p h_x rho_y of the row it moves.
+    Their sum is (A h_x + B rho_x) h_y + (B h_x + rho_x) rho_y with
+    A = nu + (|G| - 1) beta + (2 eta + eta^2) (1 + 1 / (2 sin(pi / |G|) - beta))
+    and B = p + (1 + eta) (|G| - 1 + 1 / (2 sin(pi / |G|) - beta)).  It is
+    added to the measured deviation of each computed entry (to 0 for an
+    off-class one), which must lie within :func:`_integer_tolerance` of the
+    folded magnitude of its terms, equal to the full one to first order.
+    The failure reports the largest such sum.
+
+    Every check runs in blocks of at most `_BLOCK` entries (whole rows while
+    n <= 512) and keeps none of them: the returned :class:`FusionTensor`
+    computes a representative's slice when it is first read, as one folded
+    product, n^3 / |G| work, with its unbalanced entries masked to 0, and
+    permutes the columns of that cached slice for the rest of the orbit.
+    The handle check runs first, so its failure is the one raised.
     """
     if atol is None:
         atol = data.tol
@@ -593,31 +677,89 @@ def verlinde_fusion(data, atol=None):
         raise NonIntegralFusion("a unit-row S entry vanishes; Verlinde sum undefined")
     n = data.n
     step = max(1, _BLOCK // n)
-    Sct = S.conj().T
 
-    handle = _handle(S, Sct, row0, atol, step)
-    currents = _simple_currents(S, Sct, z, step)
-    reps = np.flatnonzero(_orbits(currents, n)[0] == np.arange(n))
+    P = _simple_currents(S, z)
+    Q, bound, handle_bound = _current_pass(S, z, P)
+    g, rep = len(P), P.min(axis=0)
+    reps = (rep == np.arange(n)).nonzero()[0]
+    size = np.bincount(rep, minlength=n)[reps]
+    # charge classes: labels with equal charges under every current
+    classes = {}
+    cls = np.array([classes.setdefault(c, len(classes)) for c in zip(*Q.tolist())])
+    C = len(classes)
+    add = np.array(  # add[b, c] = class b + class c, or -1 when no label carries it
+        [[classes.get(tuple((x + y) % g for x, y in zip(qb, qc)), -1) for qc in classes] for qb in classes]
+    )
+    R = _every(reps, n)
+    SR = S[:, R]
+    SctR = SR.conj().T
+    wr0 = row0[R] / size  # S_ir / wr0_r = |O_r| S_ir / S_0r
 
+    # handle: representative rows, folded; an off-class entry is 0 within its bound
+    hw = row0[R] ** -2 * size
+    abs_hw, abs_t = np.abs(hw), np.abs(SctR)
+    if handle_bound is not None:
+        u, h, w, rho = handle_bound
+        u, w = u[reps, None], w[reps, None]
+    handle = np.empty((n, n), dtype=np.int64)
+    worst, bad = 0.0, False
+    SRR = SR[R]  # the representatives' rows: a view when every label is one
+    for x0 in range(0, len(reps), step):
+        X = reps[x0 : x0 + step]
+        rows = SRR[x0 : x0 + step]
+        raw = (rows * hw) @ SctR
+        rounded = np.rint(raw.real)
+        dev = np.abs(raw - rounded)
+        if handle_bound is not None:
+            same = cls[X, None] == cls
+            rounded *= same
+            dev *= same
+            dev += u[x0 : x0 + step] * h + w[x0 : x0 + step] * rho
+        handle[X] = rounded
+        scale = (np.abs(rows) * abs_hw) @ abs_t
+        bad = bad or not (dev <= _integer_tolerance(atol, scale)).all()
+        worst = max(worst, dev.max())
+    if bad:
+        raise NonIntegralFusion(f"handle operator deviates from integers by up to {worst:.3e}")
+    if g > 1:
+        handle[P[:, reps, None], P[:, None]] = handle[reps]
+    del SRR, abs_t, raw, rounded, dev, scale
+
+    # fusion: pairs i <= j of representatives, sorted by the class of i + j
+    # when they take more than one block, each summed over the columns of its class
+    by_class = cls.argsort(kind="stable")  # labels by class
+    cls_by = cls[by_class]
+    starts = cls_by.searchsorted(np.arange(C + 1)).tolist()
+    columns = SctR[:, by_class] if C > 1 else SctR
+    cls_r = cls[reps]
+    nr = len(reps)
+    rows_per = max(1, min(n, _BLOCK // max(nr, *(b - a for a, b in zip(starts, starts[1:])))))
+    span = max(1, 4 * rows_per // nr)  # triangle rows per chunk: at most about 4 blocks of pairs
     dev = 0.0
     lowest, where = 0, None
-    for i in reps:
-        w = S[i] / row0
-        later = reps[reps >= i]
-        for t in range(0, len(later), step):
-            js = later[t : t + step]
-            rows = S[js]
-            rows *= w
-            raw = rows @ Sct  # raw[a, k] = N_{i, js[a]}^k
-            rounded = np.round(raw.real)
-            dev = max(dev, float(np.max(np.abs(raw - rounded))))
-            low = rounded.min()
+    for i0 in range(0, nr, span):
+        a, b = (np.arange(i0, min(i0 + span, nr))[:, None] <= np.arange(nr)).nonzero()
+        a += i0
+        target = add[cls_r[a], cls_r[b]]
+        if len(target) > rows_per:
+            order = target.argsort(kind="stable")
+            a, b, target = a[order], b[order], target[order]
+        I, J = reps[a], reps[b]
+        for t0 in range(0, len(target), rows_per):
+            t1 = min(t0 + rows_per, len(target))
+            lo, hi = (starts[max(target[t0], 0)], starts[target[t1 - 1] + 1]) if t1 - t0 < len(target) else (0, n)
+            rows = SR[J[t0:t1]]
+            rows *= SR[I[t0:t1]] / wr0
+            raw = rows @ columns[:, lo:hi]  # raw[e, k] = N_{I[t0+e], J[t0+e]}^{by_class[lo+k]}
+            rounded = np.rint(raw.real)
+            keep = cls_by[lo:hi] == target[t0:t1, None]  # the balanced columns
+            dev = max(dev, np.abs(raw - rounded).max(where=keep, initial=0.0))
+            low = rounded.min(where=keep, initial=0.0)
             if low < lowest:
-                a, k = np.unravel_index(int(np.argmin(rounded)), rounded.shape)
-                lowest, where = int(low), (int(i), int(js[a]), int(k))
+                e, k = np.unravel_index(np.where(keep, rounded, 0).argmin(), rounded.shape)
+                lowest, where = int(low), (int(I[t0 + e]), int(J[t0 + e]), int(by_class[lo + k]))
 
-    if len(currents) > 1:
-        dev += _orbit_bound(S, z, currents, step)
+    dev = float(dev + bound)
     if dev > atol:
         raise NonIntegralFusion(f"fusion coefficients deviate from integers by {dev:.3e} > {atol:.3e}")
     if where is not None:
@@ -627,14 +769,18 @@ def verlinde_fusion(data, atol=None):
             f"({data.labels[i]}, {data.labels[j]}, {data.labels[k]})"
         )
 
-    for sigma in currents.values():
-        sigma.setflags(write=False)
+    P.setflags(write=False)
+    balanced = add[cls].T  # balanced[c, x] = class x + class c
 
     def slice_of(r):
-        return np.round(((S * (S[r] / row0)) @ Sct).real).astype(np.int64)
+        M = np.rint(((SR * (S[r, R] / wr0)) @ SctR).real)
+        if C > 1:  # keep the balanced entries, class(y) = class(x) + class(r)
+            M *= cls == balanced[cls[r], :, None]
+        return M.astype(np.int64)
 
     fusion = FusionTensor(data.labels, slice_of, handle)
-    fusion.currents = currents
+    fusion.currents = dict(zip(P[:, z].tolist(), P))
+    fusion.deviation = dev
     return fusion
 
 

@@ -389,35 +389,75 @@ def test_negative_coefficient_error_names_a_negative_triple(su32):
     assert N[bad.index(i), bad.index(j), bad.index(k)] == int(value) < 0
 
 
-def orbit_deviation(data):
-    """The fusion deviation `verlinde_fusion` reports, from orbits found by the eager slices.
-
-    J is invertible when slice J is a permutation matrix, sigma_J its
-    position per row.  The representatives' largest deviation, plus the
-    bound of the `verlinde_fusion` docstring when some J is not the unit.
-    """
-    S = data.S
-    n = data.n
-    row0 = S[data.index(data.zero)]
+def slice_currents(data):
+    """{J: sigma_J} by the eager slices: J is invertible when slice J is a permutation matrix."""
     currents = {}
-    for J in range(n):
+    for J in range(data.n):
         M = slice_oracle(data, J)
         if M.min() >= 0 and np.all(M.sum(axis=0) == 1) and np.all(M.sum(axis=1) == 1):
             currents[J] = M.argmax(axis=1)
-    reps = np.flatnonzero(np.min(list(currents.values()), axis=0) == np.arange(n))
+    return currents
+
+
+def charge_classes(data, currents):
+    """Class of every label: equal monodromy charges q_J = |G| arg(psi_J / psi_J(0)) / 2 pi under every J."""
+    S, g = data.S, len(currents)
+    row0 = S[data.index(data.zero)]
+    keys = []
+    for J in currents:
+        phi = S[J] / row0 / (S[J, data.index(data.zero)] / row0[data.index(data.zero)])
+        keys.append(np.rint(np.angle(phi) * (g / (2 * np.pi))).astype(int) % g)
+    rows = [tuple(col) for col in np.array(keys).T]
+    ids = {key: c for c, key in enumerate(dict.fromkeys(rows))}
+    return np.array([ids[key] for key in rows]), [np.array(key) for key in ids], g
+
+
+def orbit_deviation(data):
+    """The fusion deviation `verlinde_fusion` reports, from orbits found by the eager slices.
+
+    The largest deviation of the representatives' folded sums over the
+    balanced columns, plus the orbit, fold and skip bounds of the
+    `verlinde_fusion` docstring when some J is not the unit.
+    """
+    S, n = data.S, data.n
+    z = data.index(data.zero)
+    row0 = S[z]
+    currents = slice_currents(data)
+    rep = np.min(list(currents.values()), axis=0)
+    reps = np.flatnonzero(rep == np.arange(n))
+    size = np.bincount(rep, minlength=n)[reps]
+    cls, keys, g = charge_classes(data, currents)
     dev = 0.0
-    for i in reps:
-        raw = (S[reps[reps >= i]] * (S[i] / row0)) @ S.conj().T
-        dev = max(dev, float(np.max(np.abs(raw - np.round(raw.real)))))
-    if len(currents) == 1:
+    for a, i in enumerate(reps):
+        for j in reps[a:]:
+            want = (keys[cls[i]] + keys[cls[j]]) % g
+            ks = [k for k in range(n) if np.array_equal(keys[cls[k]], want)]
+            raw = (S[j, reps] * (S[i, reps] / (row0[reps] / size))) @ S[ks][:, reps].conj().T
+            dev = max(dev, float(np.max(np.abs(raw - np.round(raw.real)))))
+    if g == 1:
         return dev
+    u = 2.0**-53
     psi = {J: S[J] / row0 for J in currents}
-    delta = max(float(np.max(np.abs(S[sigma] - S * psi[J]))) for J, sigma in currents.items())
-    nu = max(float(np.max(np.abs(np.abs(phase) ** 2 - 1))) for phase in psi.values())
-    p = max(float(np.max(np.abs(phase))) for phase in psi.values())
+    t = {J: psi[J][z] for J in currents}
+    residual = {J: np.abs(S[sigma] - S * psi[J]) for J, sigma in currents.items()}
+    delta = max(float(r.max()) for r in residual.values())
+    mods = np.abs(np.array(list(psi.values())))
+    nu = max(float(mods.max()) ** 2 - 1, 1 - float(mods.min()) ** 2)
+    p = max(1.0, float(mods.max()))
+    eps = float(np.max(np.abs(S - S.T)))
+    eta = max(float(np.max(r[:, z] / np.abs(row0))) for r in residual.values())
+    eta += (1 + p) * eps * float(np.max(1 / np.abs(row0)))
+    turns = [np.angle(psi[J] / t[J]) * (g / (2 * np.pi)) for J in currents]
+    frac = max(float(np.max(np.abs(x - np.rint(x)))) for x in turns) * (2 * np.pi / g) + 16 * u
+    kappa = 2 * nu / (1 - nu) + frac
     m = float(np.max(np.abs(S) ** 2 @ (1 / np.abs(row0))))
     s = float(np.max(np.abs(S)))
-    return dev + m * ((3 + p) * delta + s * (nu + 8 * (n + 8) * 2.0**-53))
+    de = delta + (1 + p) * eps + p * kappa * s
+    tau = p * (1 + eta)
+    orbit = m * ((3 + p) * delta + s * (nu + 8 * (n + 8) * u))
+    fold = m * ((g - 1) * (nu * s + 3 * de * tau) + eta * s)
+    skip = m * (3 * de * tau + eta * s) / (2 * np.sin(np.pi / g) - nu)
+    return dev + orbit + fold + skip
 
 
 @pytest.mark.parametrize("family", [("su", 3, 2), ("su", 4, 3)], ids=lambda t: " ".join(map(str, t)))
@@ -448,9 +488,11 @@ def test_row_blocks_give_the_same_tensor_and_errors(monkeypatch, family):
     assert isinstance(whole["valid"], tuple)
     assert whole["negative"].startswith("negative fusion coefficient")
     assert whole["handle"].startswith("handle operator deviates")
-    # the largest deviation over every representative row, not one block's,
-    # plus the simple-current bound
-    dev = orbit_deviation(data)
+    # the largest deviation over every representative pair, not one block's,
+    # plus the orbit, fold and skip bounds, which the tensor keeps
+    # (the oracle sums by another product, so the measured part agrees to rounding)
+    dev = mf.verlinde_fusion(data).deviation
+    assert abs(dev - orbit_deviation(data)) <= 1e-15
     assert whole["deviation"] == f"fusion coefficients deviate from integers by {dev:.3e} > {1e-20:.3e}"
     # blocks of two rows or more: a one-row block is numpy's matrix-vector
     # product, whose last bits differ from the matrix product's
