@@ -292,12 +292,25 @@ def check_gluing_dimension(data, fusion, a, p, q):
 
     The points `p`, `q` are slots: for every label x the surface with
     p -> x, q -> dual(x) contributes, and the identity says the sum equals
-    the dimension of the glued surface (which is independent of x).
+    the dimension of the glued surface (which is independent of x).  The
+    slots are located once and the other components' dimensions taken
+    once; each x only substitutes its labels and reruns the recursion of
+    the one or two components that hold the slots.
     """
+    (ci, pi), (cj, pj) = a.locate(p), a.locate(q)
+    labels = [[pt.label for pt in c.points] for c in a.components]
+    rest = 1
+    for c, comp in enumerate(a.components):
+        if c not in (ci, cj):
+            rest *= _component_dim(data, fusion, comp.genus, labels[c])
     total = 0
     for x in data.labels:
-        filled = a.relabel(p, x).relabel(q, data.dual[x])
-        total += state_dim(data, fusion, filled)
+        labels[ci][pi] = x
+        labels[cj][pj] = data.dual[x]
+        dim = _component_dim(data, fusion, a.components[ci].genus, labels[ci])
+        if cj != ci:
+            dim *= _component_dim(data, fusion, a.components[cj].genus, labels[cj])
+        total += dim
     anyfill = a.relabel(p, data.zero).relabel(q, data.zero)
     glued = glue_points(anyfill, p, q, data.dual)
-    return total == state_dim(data, fusion, glued)
+    return total * rest == state_dim(data, fusion, glued)

@@ -7,6 +7,7 @@ larger families rely on.
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +265,7 @@ def test_orbit_check_agrees_with_full_check(tokens):
         assert np.array_equal(fusion.slice(j), want)
         assert fusion.column_max[j] == max(1, want.sum(axis=0).max())
     assert_reported_deviation_bounds(data, dev)
+    assert f"{fusion.deviation:.3e}" == f"{reported_deviation(data):.3e}"
 
 
 FIXED_POINT_FAMILIES = [("su", 2, 2), ("su", 3, 3), ("su", 4, 2), ("su", 4, 4), ("su", 6, 2), ("su", 6, 3)]
@@ -570,3 +572,95 @@ def test_fusion_tensor_coeff_by_label(su23):
     assert fusion.coeff(su23, "1", "1", "0") == 1
     assert fusion.coeff(su23, "1", "1", "2") == 1
     assert fusion.coeff(su23, "1", "1", "3") == 0
+
+
+@pytest.mark.parametrize(
+    "tokens", builtin_tokens() + [("su", 5, 6)], ids=lambda t: " ".join(map(str, t))
+)
+def test_key_matched_currents_match_slice_currents(tokens):
+    data = get_family(*tokens)
+    want = slice_currents(data)
+    got = mf.verlinde_fusion(data).currents
+    assert sorted(got) == sorted(want)
+    for J, sigma in want.items():
+        assert np.array_equal(got[J], sigma) and not got[J].flags.writeable
+
+
+def _folded_pairs(data):
+    """(i, j, folded sums over the balanced k, full sums over every k) for the pairs of representatives."""
+    S, n = data.S, data.n
+    row0 = S[data.index(data.zero)]
+    currents = slice_currents(data)
+    rep = np.min(list(currents.values()), axis=0)
+    reps = np.flatnonzero(rep == np.arange(n))
+    size = np.bincount(rep, minlength=n)[reps]
+    cls, keys, g = charge_classes(data, currents)
+    for a, i in enumerate(reps):
+        for j in reps[a:]:
+            want = (keys[cls[i]] + keys[cls[j]]) % g
+            balanced = np.array([np.array_equal(keys[c], want) for c in cls])
+            folded = (S[j, reps] * S[i, reps] * size / row0[reps]) @ S[:, reps].conj().T
+            full = (S[j] * S[i] / row0) @ S.conj().T
+            yield i, j, balanced, folded, full
+
+
+@pytest.mark.parametrize(
+    "tokens", DISTINCT_FAMILIES[:: 3] + FIXED_POINT_FAMILIES + [("lie", "D", 4, 2), ("lie", "G", 2, 2)],
+    ids=lambda t: " ".join(map(str, t)),
+)
+def test_folded_sums_match_full_sums(tokens):
+    # the selection rule: a sum vanishes off the balanced columns; on them the
+    # sum over r folded onto orbit representatives, weighted by orbit size, is the full sum
+    data = get_family(*tokens)
+    for _i, _j, balanced, folded, full in _folded_pairs(data):
+        assert balanced.any()
+        assert np.max(np.abs(folded[balanced] - full[balanced])) < 1e-12
+        assert np.max(np.abs(full[~balanced]), initial=0.0) < 1e-12
+
+
+@pytest.mark.parametrize("tokens", [("su", 3, 3), ("su", 4, 4), ("su", 5, 3), ("lie", "D", 4, 2)], ids=lambda t: " ".join(map(str, t)))
+def test_corrupt_entry_outside_the_folded_columns_is_caught(monkeypatch, tokens):
+    # the folded sums read only the representatives' columns of S, and the
+    # skipped sums none: an entry in another column and another class is
+    # seen by (I) alone, and the bound must cover what the full sums see
+    data = get_family(*tokens)
+    fusion = mf.verlinde_fusion(data)
+    cls, _keys, _g = charge_classes(data, fusion.currents)
+    rep = np.min(list(fusion.currents.values()), axis=0)
+    r = int(np.flatnonzero(rep != np.arange(data.n))[-1])
+    x = int(np.flatnonzero(cls != cls[r])[-1])
+    S = data.S.copy()
+    S[x, r] += 1e-9  # small enough that the currents are still read from S
+    S[r, x] += 1e-9
+    bad = _rebuild(data, S=S)
+    atol = 2 * fusion.deviation  # the clean data passes at this tolerance
+    dev, outcome = full_check(bad, atol)
+    assert isinstance(outcome, str)
+    assert len(mf.verlinde_fusion(bad, 1e-3).currents) == len(fusion.currents)
+    with pytest.raises(mf.NonIntegralFusion, match="deviate"):
+        mf.verlinde_fusion(bad, atol)
+    monkeypatch.setattr(mf.modular_data, "_integer_tolerance", lambda atol, scale: np.inf)
+    with pytest.raises(mf.NonIntegralFusion, match="fusion coefficients deviate from integers by"):
+        mf.verlinde_fusion(bad, atol)
+    assert mf.verlinde_fusion(bad, 1e-3).deviation >= dev
+
+
+def test_unit_only_current_layer_gives_the_same_tensor_in_bounded_memory(monkeypatch):
+    data = get_family("su", 4, 8)
+    n = data.n
+    want = mf.verlinde_fusion(data)
+    mf.verlinde_fusion(get_family("su", 2, 1))  # first-call allocations
+    monkeypatch.setattr(mf.modular_data, "_simple_currents", lambda S, z: np.arange(len(S))[None])
+    tracemalloc.start()
+    try:
+        fusion = mf.verlinde_fusion(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # S^dagger, |S|, the handle and one block's products of at most n rows;
+    # one n^3 object would be n = 165 times n^2 complex numbers
+    assert peak <= 8 * 16 * n**2
+    assert fusion.currents == {data.index(data.zero): list(fusion.currents.values())[0]}
+    assert np.array_equal(fusion.handle, want.handle)
+    for j in (0, 1, 7, n - 1):
+        assert np.array_equal(fusion.slice(j), want.slice(j))

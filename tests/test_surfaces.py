@@ -222,6 +222,45 @@ def test_check_gluing_dimension_random(su31):
         assert mf.check_gluing_dimension(su31, fusion, a, "p2", "p3")
 
 
+def gluing_oracle(data, fusion, a, p, q):
+    """The gluing identity by relabelled surfaces: one new Surface per label x."""
+    total = sum(
+        mf.state_dim(data, fusion, a.relabel(p, x).relabel(q, data.dual[x])) for x in data.labels
+    )
+    glued = mf.glue_points(a.relabel(p, data.zero).relabel(q, data.zero), p, q, data.dual)
+    return total == mf.state_dim(data, fusion, glued)
+
+
+def _gluing_cases(data):
+    """Surfaces with slots x, y in one component and in two, with other components riding along."""
+    lab, o = data.labels, data.zero
+    pt = MarkedPoint
+    one = Surface((Component(1, (pt("x", o), pt("a", lab[1]), pt("y", o), pt("b", lab[-1]))),))
+    two = Surface(
+        (
+            Component(0, (pt("a", lab[1]), pt("x", o), pt("b", lab[1]))),
+            Component(2, ()),
+            Component(1, (pt("y", o), pt("c", lab[-1]))),
+        )
+    )
+    return [(one, "x", "y"), (two, "x", "y"), (two, "y", "x")]
+
+
+@pytest.mark.parametrize("tokens", [("su", 2, 2), ("su", 3, 2), ("lie", "B", 2, 1)], ids=lambda t: " ".join(map(str, t)))
+def test_check_gluing_dimension_matches_relabel_oracle(tokens):
+    data = get_family(*tokens)
+    fusion = get_fusion(data)
+    broken = np.array(fusion.N)
+    broken[0, 1, 1] += 1
+    fake = mf.FusionTensor(data.labels, lambda j: broken[:, j, :], fusion.handle)
+    for a, p, q in _gluing_cases(data):
+        for f in (fusion, fake):
+            assert mf.check_gluing_dimension(data, f, a, p, q) == gluing_oracle(data, f, a, p, q)
+        assert mf.check_gluing_dimension(data, fusion, a, p, q)
+    a = mf.sphere_with_labels([data.zero, data.labels[1], data.zero, data.labels[1]])
+    assert mf.check_gluing_dimension(data, fake, a, "p0", "p2") == gluing_oracle(data, fake, a, "p0", "p2")
+
+
 def exact_dim_oracle(data, fusion, genus, labels):
     """One component's dimension by the fusion recursion in Python ints.
 
