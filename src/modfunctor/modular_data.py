@@ -499,7 +499,8 @@ def _current_pass(S, z, P):
     inv0sq = inv0 * inv0
     m = s2 = eps = delta = eta = 0.0
     h2, rho2 = np.empty(n), np.zeros(n)
-    step = max(1, _BLOCK // (g * n))
+    # blocks of at most max(n^2, 2^12) entries (and `_BLOCK`), as small as one current's rows
+    step = max(1, min(_BLOCK, max(n * n, 1 << 12)) // (g * n))
     for x0 in range(0, n, step):
         rows = S[x0 : x0 + step]
         a2 = np.abs(rows) ** 2
@@ -507,7 +508,9 @@ def _current_pass(S, z, P):
         m = max(m, (a2 @ inv0).max())
         h2[x0 : x0 + step] = a2 @ inv0sq
         eps = max(eps, np.abs(rows - S[:, x0 : x0 + step].T).max())
-        residual = np.abs(S[P[:, x0 : x0 + step]] - rows * Psi[:, None])  # (I), entry by entry
+        residual = S[P[:, x0 : x0 + step]]
+        residual -= rows * Psi[:, None]
+        residual = np.abs(residual)  # of (I), entry by entry
         delta = max(delta, residual.max())
         eta = max(eta, (residual[:, :, z] * inv0[x0 : x0 + step]).max())
         e2 = (residual * residual).sum(axis=0)
@@ -661,8 +664,8 @@ def verlinde_fusion(data, atol=None):
     folded magnitude of its terms, equal to the full one to first order.
     The failure reports the largest such sum.
 
-    Every check runs in blocks of at most `_BLOCK` entries (whole rows while
-    n <= 512) and keeps none of them: the returned :class:`FusionTensor`
+    Every check runs in blocks of at most `_BLOCK` entries (n^2 or fewer
+    while n <= 512) and keeps none of them: the returned :class:`FusionTensor`
     computes a representative's slice when it is first read, as one folded
     product, n^3 / |G| work, with its unbalanced entries masked to 0, and
     permutes the columns of that cached slice for the rest of the orbit.
