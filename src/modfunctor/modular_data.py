@@ -453,7 +453,7 @@ def _simple_currents(S, z):
     # found[x, a] = (psi_{J_a} S_x) v; the unit's column is S v itself, the keys of the labels
     found = S @ (S[cand] / row0 * _key_vector(n)).T
     ranks = found.real.argsort(axis=0)
-    unit_at = int((cand == z).nonzero()[0][0])
+    unit_at = int(cand.searchsorted(z))
     keys = found[ranks[:, unit_at], unit_at]  # in order of real part
     dist = np.abs(found[ranks, np.arange(len(cand))] - keys[:, None]).max(axis=0)
     P = ranks[ranks.argsort(axis=0), unit_at].T  # sigma_J(x) is the label of x's rank
@@ -497,6 +497,7 @@ def _current_pass(S, z, P):
     beta = max(abs(c.conjugate() / c - 1) for c in t.tolist())
     inv0 = 1 / np.abs(row0)
     inv0sq = inv0 * inv0
+    weights = np.stack((inv0, inv0sq), axis=1)
     m = s2 = eps = delta = eta = 0.0
     h2, rho2 = np.empty(n), np.zeros(n)
     # blocks of at most max(n^2, 2^12) entries (and `_BLOCK`), as small as one current's rows
@@ -505,8 +506,9 @@ def _current_pass(S, z, P):
         rows = S[x0 : x0 + step]
         a2 = np.abs(rows) ** 2
         s2 = max(s2, a2.max())
-        m = max(m, (a2 @ inv0).max())
-        h2[x0 : x0 + step] = a2 @ inv0sq
+        sums = a2 @ weights
+        m = max(m, sums[:, 0].max())
+        h2[x0 : x0 + step] = sums[:, 1]
         eps = max(eps, np.abs(rows - S[:, x0 : x0 + step].T).max())
         residual = S[P[:, x0 : x0 + step]]
         residual -= rows * Psi[:, None]
@@ -676,7 +678,7 @@ def verlinde_fusion(data, atol=None):
     S = data.S
     z = data.index(data.zero)
     row0 = S[z, :]
-    if np.min(np.abs(row0)) <= data.tol:
+    if np.abs(row0).min() <= data.tol:
         raise NonIntegralFusion("a unit-row S entry vanishes; Verlinde sum undefined")
     n = data.n
     step = max(1, _BLOCK // n)
