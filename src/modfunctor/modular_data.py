@@ -458,11 +458,18 @@ def _simple_currents(S, z):
     dist = np.abs(found[ranks, np.arange(len(cand))] - keys[:, None]).max(axis=0)
     P = ranks[ranks.argsort(axis=0), unit_at].T  # sigma_J(x) is the label of x's rank
     P = P[dist <= _KEY_TOL * np.abs(keys).max()]
-    pos = np.full(n, -1)
+    return P if _is_group(P, z) else unit
+
+
+def _is_group(P, z):
+    """Whether the permutations P (rows, with P[a, z] = J_a) are closed under composition.
+
+    sigma_a sigma_b must be the member of J_a (x) J_b = sigma_a(J_b).  A
+    label outside the set has position -1, whose row differs from it at z.
+    """
+    pos = np.full(P.shape[1], -1)
     pos[P[:, z]] = np.arange(len(P))
-    # closed under composition: sigma_a sigma_b is the member of J_a (x) J_b = sigma_a(J_b);
-    # a label outside the set has position -1, whose row differs from it at z
-    return P if (P[:, P] == P[pos[P[:, P[:, z]]]]).all() else unit
+    return bool((P[:, P] == P[pos[P[:, P[:, z]]]]).all())
 
 
 def _current_pass(S, z, P):

@@ -637,7 +637,11 @@ def test_corrupt_entry_outside_the_folded_columns_is_caught(monkeypatch, tokens)
     dev, outcome = full_check(bad, atol)
     assert isinstance(outcome, str)
     assert len(mf.verlinde_fusion(bad, 1e-3).currents) == len(fusion.currents)
-    with pytest.raises(mf.NonIntegralFusion, match="deviate"):
+    # the full handle deviates too, and the handle's bound must see it in the rows it permutes
+    raw = (S * S[0] ** -2) @ S.conj().T
+    scale = (np.abs(S) * np.abs(S[0] ** -2)) @ np.abs(S).T
+    assert np.any(np.abs(raw - np.round(raw.real)) > mf.modular_data._integer_tolerance(atol, scale))
+    with pytest.raises(mf.NonIntegralFusion, match="handle operator deviates"):
         mf.verlinde_fusion(bad, atol)
     monkeypatch.setattr(mf.modular_data, "_integer_tolerance", lambda atol, scale: np.inf)
     with pytest.raises(mf.NonIntegralFusion, match="fusion coefficients deviate from integers by"):
@@ -664,3 +668,41 @@ def test_unit_only_current_layer_gives_the_same_tensor_in_bounded_memory(monkeyp
     assert np.array_equal(fusion.handle, want.handle)
     for j in (0, 1, 7, n - 1):
         assert np.array_equal(fusion.slice(j), want.slice(j))
+
+
+@pytest.mark.parametrize("tokens", [("su", 3, 3), ("su", 4, 4), ("lie", "D", 4, 2)], ids=lambda t: " ".join(map(str, t)))
+def test_column_scaled_s_is_caught_by_its_asymmetry(monkeypatch, tokens):
+    # scaling one column of S keeps (I) exact row by row, so only the
+    # asymmetry eps tells the folded and skipped sums that the column action broke
+    data = get_family(*tokens)
+    fusion = mf.verlinde_fusion(data)
+    rep = np.min(list(fusion.currents.values()), axis=0)
+    r = int(np.flatnonzero(rep != np.arange(data.n))[-1])
+    S = data.S.copy()
+    S[:, r] *= 1 + 1e-9
+    bad = _rebuild(data, S=S)
+    atol = 2 * fusion.deviation
+    dev, outcome = full_check(bad, atol)
+    assert outcome.startswith("fusion coefficients deviate")
+    assert len(mf.verlinde_fusion(bad, 1e-3).currents) == len(fusion.currents)
+    with pytest.raises(mf.NonIntegralFusion, match="deviate"):
+        mf.verlinde_fusion(bad, atol)
+    # the handle is blind to a scaled column, but its bound is not; blind it too
+    monkeypatch.setattr(mf.modular_data, "_integer_tolerance", lambda atol, scale: np.inf)
+    with pytest.raises(mf.NonIntegralFusion, match="fusion coefficients deviate"):
+        mf.verlinde_fusion(bad, atol)
+    assert mf.verlinde_fusion(bad, 1e-3).deviation >= dev
+
+
+def test_current_sets_must_be_groups():
+    data = get_family("su", 4, 4)
+    P = mf.modular_data._simple_currents(data.S, data.index(data.zero))
+    z = data.index(data.zero)
+    assert len(P) == 4 and mf.modular_data._is_group(P, z)
+    assert mf.modular_data._is_group(P[P[:, z] == z], z)  # the unit alone
+    order2 = P[[0, 2]] if mf.modular_data._is_group(P[[0, 2]], z) else P[[0, 1]]
+    assert mf.modular_data._is_group(order2, z)  # a subgroup of order 2
+    assert not mf.modular_data._is_group(P[:3], z)  # J and J^2 without J^3
+    swapped = P.copy()
+    swapped[[1, 3], 1:] = swapped[[3, 1], 1:]  # right labels, wrong permutations
+    assert not mf.modular_data._is_group(swapped, z)
