@@ -504,7 +504,7 @@ def _current_pass(S, z, P):
     beta = max(abs(c.conjugate() / c - 1) for c in t.tolist())
     inv0 = 1 / np.abs(row0)
     inv0sq = inv0 * inv0
-    weights = np.stack((inv0, inv0sq), axis=1)
+    weights = np.array((inv0, inv0sq)).T
     m = s2 = eps = delta = eta = 0.0
     h2, rho2 = np.empty(n), np.zeros(n)
     # blocks of at most max(n^2, 2^12) entries (and `_BLOCK`), as small as one current's rows
@@ -699,9 +699,10 @@ def verlinde_fusion(data, atol=None):
     classes = {}
     cls = np.array([classes.setdefault(c, len(classes)) for c in zip(*Q.tolist())])
     C = len(classes)
+    charge = np.array(list(classes))  # charge[c] = the charges of class c
     add = np.array(  # add[b, c] = class b + class c, or -1 when no label carries it
-        [[classes.get(tuple((x + y) % g for x, y in zip(qb, qc)), -1) for qc in classes] for qb in classes]
-    )
+        [classes.get(tuple(q), -1) for q in ((charge[:, None] + charge) % g).reshape(-1, g).tolist()]
+    ).reshape(C, C)
     R = _every(reps, n)
     SR = S[:, R]
     SctR = SR.conj().T
