@@ -57,6 +57,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 _BLOCK = 1 << 18  # entries per row block of every check in verlinde_fusion
+_PAIR_CHUNK = 1 << 12  # pairs of representatives whose indices verlinde_fusion holds at once
 # loose on purpose: a candidate that is not invertible costs only one key match
 _INVERTIBLE_DIM_TOL = 1e-3
 _KEY_TOL = 1e-8  # largest key mismatch of a simple current, relative to the largest key
@@ -738,39 +739,41 @@ def verlinde_fusion(data, atol=None):
         handle[P[:, reps, None], P[:, None]] = handle[reps]
     del SRR, abs_t, raw, rounded, dev, scale
 
-    # fusion: pairs i <= j of representatives, sorted by the class of i + j
-    # when they take more than one block, each summed over the columns of its class
+    # fusion: pairs i <= j of representatives, sorted by the class of i + j,
+    # each summed over the columns of that class only
     by_class = cls.argsort(kind="stable")  # labels by class
-    cls_by = cls[by_class]
-    starts = cls_by.searchsorted(np.arange(C + 1)).tolist()
+    starts = cls[by_class].searchsorted(np.arange(C + 1)).tolist()
     columns = SctR[:, by_class] if C > 1 else SctR
     cls_r = cls[reps]
     nr = len(reps)
     rows_per = max(1, min(n, _BLOCK // max(nr, *(b - a for a, b in zip(starts, starts[1:])))))
-    span = max(1, 4 * rows_per // nr)  # triangle rows per chunk: at most about 4 blocks of pairs
+    span = max(1, _PAIR_CHUNK // nr)  # triangle rows per chunk of pairs
     dev = 0.0
     lowest, where = 0, None
     for i0 in range(0, nr, span):
         a, b = (np.arange(i0, min(i0 + span, nr))[:, None] <= np.arange(nr)).nonzero()
         a += i0
         target = add[cls_r[a], cls_r[b]]
-        if len(target) > rows_per:
-            order = target.argsort(kind="stable")
-            a, b, target = a[order], b[order], target[order]
+        order = target.argsort(kind="stable")
+        a, b, target = a[order], b[order], target[order]
         I, J = reps[a], reps[b]
-        for t0 in range(0, len(target), rows_per):
-            t1 = min(t0 + rows_per, len(target))
-            lo, hi = (starts[max(target[t0], 0)], starts[target[t1 - 1] + 1]) if t1 - t0 < len(target) else (0, n)
+        t0 = int(target.searchsorted(0))  # a pair whose sum no label carries sums to 0
+        while t0 < len(target):
+            # a block holds pairs of one class and reads only that class's columns
+            end = int(target.searchsorted(target[t0], "right"))
+            t1 = min(t0 + rows_per, end)
+            t1 -= t1 == end - 1 and t1 - t0 > 1  # no one-row tail: numpy takes it as a vector product
+            lo, hi = starts[target[t0]], starts[target[t0] + 1]
             rows = SR[J[t0:t1]]
             rows *= SR[I[t0:t1]] / wr0
             raw = rows @ columns[:, lo:hi]  # raw[e, k] = N_{I[t0+e], J[t0+e]}^{by_class[lo+k]}
             rounded = np.rint(raw.real)
-            keep = cls_by[lo:hi] == target[t0:t1, None]  # the balanced columns
-            dev = max(dev, np.abs(raw - rounded).max(where=keep, initial=0.0))
-            low = rounded.min(where=keep, initial=0.0)
+            dev = max(dev, np.abs(raw - rounded).max())
+            low = rounded.min()
             if low < lowest:
-                e, k = np.unravel_index(np.where(keep, rounded, 0).argmin(), rounded.shape)
+                e, k = np.unravel_index(rounded.argmin(), rounded.shape)
                 lowest, where = int(low), (int(I[t0 + e]), int(J[t0 + e]), int(by_class[lo + k]))
+            t0 = t1
 
     dev = float(dev + bound)
     if dev > atol:
