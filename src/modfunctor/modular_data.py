@@ -30,7 +30,6 @@ so callers can inspect partially broken data.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -417,19 +416,6 @@ def _integer_tolerance(atol, scale):
     return np.minimum(np.maximum(atol, 5e-12 * scale), 0.45)
 
 
-def _every(index, n):
-    """`index` as the basic slice of every label when it lists all n, so that numpy takes views."""
-    return slice(None) if len(index) == n else index
-
-
-@functools.lru_cache(maxsize=8)
-def _key_vector(n):
-    """The fixed complex vector v of :func:`_simple_currents`, v_r = exp(_KEY_PHASE r)."""
-    v = np.exp(_KEY_PHASE * np.arange(n))
-    v.setflags(write=False)
-    return v
-
-
 def _simple_currents(S, z):
     """The (|G|, n) array whose row for J in G is sigma_J(x) = J (x) x, read from S; column z is J.
 
@@ -452,7 +438,7 @@ def _simple_currents(S, z):
     if len(cand) == 1:
         return unit
     # found[x, a] = (psi_{J_a} S_x) v; the unit's column is S v itself, the keys of the labels
-    found = S @ (S[cand] / row0 * _key_vector(n)).T
+    found = S @ (S[cand] / row0 * np.exp(_KEY_PHASE * np.arange(n))).T
     ranks = found.real.argsort(axis=0)
     unit_at = int(cand.searchsorted(z))
     keys = found[ranks[:, unit_at], unit_at]  # in order of real part
@@ -482,8 +468,7 @@ def _current_pass(S, z, P):
     entry (x, y) of a representative row is within u_x h_y + w_x rho_y of
     every entry it stands for.  With G = {0} the charges are 0, `bound` is
     0 and `handle_bound` None.  When nu or beta leaves no room for the
-    derivation the bounds are infinite.  Works in blocks of at most
-    `_BLOCK` entries per current.
+    derivation the bounds are infinite.  Works in row blocks.
     """
     g, n = P.shape
     if g == 1:
@@ -495,7 +480,7 @@ def _current_pass(S, z, P):
     turns = np.arctan2(phi.imag, phi.real) * (g / (2 * np.pi))
     Q = np.rint(turns)
     # |phi - exp(2 pi i q / |G|)| <= ||phi| - 1| + |arg phi - 2 pi q / |G||, ||phi| - 1| <= 2 nu / (1 - nu);
-    # the computed turns carry the rounding of arctan2 and of the scaling, within 16 u of a turn's angle
+    # 16 u of angle covers the rounding of arctan2 and of the scaling to turns
     frac = np.abs(turns - Q).max() * (2 * np.pi / g) + 16 * _UNIT_ROUNDOFF
     Q %= g
     mod = np.abs(Psi)
@@ -508,7 +493,7 @@ def _current_pass(S, z, P):
     weights = np.array((inv0, inv0sq)).T
     m = s2 = eps = delta = eta = 0.0
     h2, rho2 = np.empty(n), np.zeros(n)
-    # blocks of at most max(n^2, 2^12) entries (and `_BLOCK`), as small as one current's rows
+    # blocks of at most max(n^2, 2^12) entries over all currents, and at most `_BLOCK`
     step = max(1, min(_BLOCK, max(n * n, 1 << 12)) // (g * n))
     for x0 in range(0, n, step):
         rows = S[x0 : x0 + step]
@@ -704,7 +689,7 @@ def verlinde_fusion(data, atol=None):
     add = np.array(  # add[b, c] = class b + class c, or -1 when no label carries it
         [classes.get(tuple(q), -1) for q in ((charge[:, None] + charge) % g).reshape(-1, g).tolist()]
     ).reshape(C, C)
-    R = _every(reps, n)
+    R = reps if len(reps) < n else slice(None)  # a basic slice when G = {0}, so that numpy takes views
     SR = S[:, R]
     SctR = SR.conj().T
     wr0 = row0[R] / size  # S_ir / wr0_r = |O_r| S_ir / S_0r
@@ -737,7 +722,7 @@ def verlinde_fusion(data, atol=None):
         raise NonIntegralFusion(f"handle operator deviates from integers by up to {worst:.3e}")
     if g > 1:
         handle[P[:, reps, None], P[:, None]] = handle[reps]
-    del SRR, abs_t, raw, rounded, dev, scale
+    del SRR, abs_t, raw, rounded, dev, scale  # none of the handle's blocks lives next to the fusion's
 
     # fusion: pairs i <= j of representatives, sorted by the class of i + j,
     # each summed over the columns of that class only
@@ -757,7 +742,7 @@ def verlinde_fusion(data, atol=None):
         order = target.argsort(kind="stable")
         a, b, target = a[order], b[order], target[order]
         I, J = reps[a], reps[b]
-        t0 = int(target.searchsorted(0))  # a pair whose sum no label carries sums to 0
+        t0 = int(target.searchsorted(0))  # a class sum no label carries (-1): all 0, within `skip`
         while t0 < len(target):
             # a block holds pairs of one class and reads only that class's columns
             end = int(target.searchsorted(target[t0], "right"))
