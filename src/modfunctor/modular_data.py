@@ -525,9 +525,7 @@ def _current_pass(S, z, P):
     skip = m * (3 * de * tau + eta * s) / (gap - nu)
     h = np.sqrt(h2)
     rho = np.sqrt(rho2 / (1 - nu))
-    rho += kappa * h
-    if eps:
-        rho += (1 + p) * eps * math.sqrt(inv0sq.sum() / (1 - nu))
+    rho += kappa * h + (1 + p) * eps * math.sqrt(inv0sq.sum() / (1 - nu))
     A = nu + (g - 1) * beta + (2 * eta + eta**2) * (1 + 1 / (gap - beta))
     B = p + (1 + eta) * (g - 1 + 1 / (gap - beta))
     return Q, float(orbit + fold + skip), (A * h + B * rho, h, B * h + rho, rho)
