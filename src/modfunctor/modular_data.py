@@ -427,9 +427,10 @@ def _simple_currents(S, z):
     conjugate labels would have keys of equal real part).  Both key lists
     are sorted by real part and matched in that order, which makes sigma_J
     a bijection; J joins when every key lies within `_KEY_TOL` of its
-    match, relative to the largest key.  The members must form a group in
-    which sigma_J(0) = J; otherwise G is the unit alone, and every label
-    is its own orbit.  :func:`verlinde_fusion` certifies every member by (I).
+    match, relative to the largest key.  Each member is named by
+    sigma_J(0) = J, and the members must form a group (:func:`_is_group`);
+    otherwise G is the unit alone, and every label is its own orbit.
+    :func:`verlinde_fusion` certifies every member by (I).
     """
     n = len(S)
     row0 = S[z]
