@@ -19,6 +19,7 @@ section.  Exit codes: 0 ok, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -125,7 +126,9 @@ def _family_args(parser):
     parser.add_argument("family", nargs="+", help="su N k | lie TYPE RANK LEVEL | file PATH")
 
 
+@functools.cache
 def _build_parser():
+    """The one parser of the process: parse_args keeps no state between calls."""
     parser = _Parser(prog="modfunctor", description=__doc__.splitlines()[0])
     parser.add_argument("--json", action="store_true", help="print the machine section")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -463,7 +466,8 @@ def run_command(argv):
         InvalidModularData, ValidationFailure,
     ) as exc:
         return 2, Report({"error": str(exc)}, f"error: {exc}")
-    if getattr(args, "json", False):
+    # export's text already is its machine section in the canonical encoding
+    if getattr(args, "json", False) and args.command != "export":
         report = Report(report.machine, json.dumps(report.machine, sort_keys=True, indent=2))
     return code, report
 

@@ -3,14 +3,26 @@
 A document (schema_version "1") stores the label list, unit label, dual
 map, S-matrix and twists, with every complex number written as a
 [re, im] pair of floats.  Serialization is canonical — sorted keys,
-two-space indent — so equal data produce byte-identical documents and a
-dump/load cycle is bit-stable.
+two-space indent, ``float.__repr__`` for every number, a trailing newline —
+so equal data produce byte-identical documents and a dump/load cycle is
+bit-stable.
+
+The writer emits that text itself: it formats the 2n² floats of S in one
+``repr`` pass and joins them with the fixed indent separators, and passes
+only the small fields through ``json.dumps``, whose indented encoder runs in
+pure Python.  The text is byte-identical to ``modular_data_to_dict`` passed
+through ``json.dumps(..., sort_keys=True, indent=2)`` plus a newline, the
+writer's oracle in the tests.
+The reader converts S in one ``np.array`` call when every row is a list of
+[int or float, int or float] lists, and otherwise checks entry by entry, so
+a malformed entry is named.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -51,17 +63,23 @@ def _unpair(value, field):
     )
     if not ok:
         raise FileFormatError(f"{field}: expected a [re, im] number pair")
-    return complex(float(value[0]), float(value[1]))
+    try:
+        return complex(float(value[0]), float(value[1]))
+    except OverflowError:  # a JSON integer may exceed every float
+        raise FileFormatError(f"{field}: number out of float range") from None
 
 
-def modular_data_to_dict(data, metadata=None):
-    """Plain-dict form of `data`, ready for json.dump."""
+def _s_pairs(S):
+    """S as an n x n x 2 float array of [re, im] pairs."""
+    return np.stack((S.real, S.imag), -1)
+
+
+def _small_fields(data, metadata):
     doc = {
         "schema_version": SCHEMA_VERSION,
         "labels": list(data.labels),
         "zero": data.zero,
         "dual": {lab: data.dual[lab] for lab in data.labels},
-        "S": [[_pair(data.S[a, b]) for b in range(data.n)] for a in range(data.n)],
         "theta": {lab: _pair(data.theta[lab]) for lab in data.labels},
     }
     if metadata:
@@ -69,9 +87,49 @@ def modular_data_to_dict(data, metadata=None):
     return doc
 
 
+def modular_data_to_dict(data, metadata=None):
+    """Plain-dict form of `data`, ready for json.dump."""
+    doc = _small_fields(data, metadata)
+    doc["S"] = _s_pairs(data.S).tolist()
+    return doc
+
+
+# json's indent=2 separators inside S: between numbers, pairs and rows
+_NUMBER_SEP = ",\n        "
+_PAIR_SEP = "\n      ],\n      [\n        "
+_ROW_SEP = "\n      ]\n    ],\n    [\n      [\n        "
+
+
+def _s_text(S):
+    """The S block as json.dumps(..., indent=2) writes it at depth 1."""
+    n = len(S)
+    it = iter(map(repr, _s_pairs(S).ravel().tolist()))
+    pairs = list(map(_NUMBER_SEP.join, zip(it, it)))
+    rows = _ROW_SEP.join(_PAIR_SEP.join(pairs[i:i + n]) for i in range(0, n * n, n))
+    return "[\n    [\n      [\n        " + rows + "\n      ]\n    ]\n  ]"
+
+
 def dumps_modular_data(data, metadata=None):
     """Canonical JSON text (sorted keys, indent 2, trailing newline)."""
-    return json.dumps(modular_data_to_dict(data, metadata), sort_keys=True, indent=2) + "\n"
+    # json.dumps escapes a newline inside a string, so every raw one starts a line
+    fields = {
+        key: json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+        for key, value in _small_fields(data, metadata).items()
+    }
+    fields["S"] = _s_text(data.S)
+    body = ",\n".join(f"  {json.dumps(key)}: {fields[key]}" for key in sorted(fields))
+    return "{\n" + body + "\n}\n"
+
+
+def _plain_row(row, n):
+    """True when `row` is a list of n [number, number] lists, bools excluded."""
+    return (
+        type(row) is list
+        and len(row) == n
+        and set(map(type, row)) == {list}
+        and set(map(len, row)) == {2}
+        and set(map(type, chain.from_iterable(row))) <= {int, float}
+    )
 
 
 def modular_data_from_dict(doc, tol=None):
@@ -104,12 +162,20 @@ def modular_data_from_dict(doc, tol=None):
     rows = doc["S"]
     if not isinstance(rows, list) or len(rows) != n:
         raise FileFormatError(f"S: expected {n} rows, got {len(rows) if isinstance(rows, list) else type(rows).__name__}")
-    S = np.zeros((n, n), dtype=complex)
-    for a, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise FileFormatError(f"S[{a}]: expected {n} entries")
-        for b, value in enumerate(row):
-            S[a, b] = _unpair(value, f"S[{a}][{b}]")
+    S = None
+    if all(_plain_row(row, n) for row in rows):
+        try:
+            # the pairs' memory read as complex keeps the sign of a zero part
+            S = np.array(rows, dtype=float).reshape(n, n, 2).view(complex)[..., 0]
+        except OverflowError:  # an integer beyond every float: the pass below names it
+            pass
+    if S is None:
+        S = np.zeros((n, n), dtype=complex)
+        for a, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != n:
+                raise FileFormatError(f"S[{a}]: expected {n} entries")
+            for b, value in enumerate(row):
+                S[a, b] = _unpair(value, f"S[{a}][{b}]")
     theta_doc = doc["theta"]
     if not isinstance(theta_doc, dict):
         raise FileFormatError("theta: expected an object mapping labels to [re, im]")

@@ -368,6 +368,65 @@ def test_main_prints_to_streams(capsys):
 
 
 @pytest.mark.parametrize(
+    "calls",
+    [
+        (["info"], ["info", "su", "2", "1"]),
+        (["dims", "su", "2", "2"], ["dims", "su", "2", "2", "--surface", "g=1[]"]),
+        (["--json", "info", "su", "2", "2"], ["info", "su", "2", "2"]),
+        (["--json", "verify", "su", "2", "2"], ["verify", "su", "2", "2"], ["--json", "export", "su", "2", "1"]),
+    ],
+    ids=["usage-error-then-info", "usage-error-then-dims", "json-then-text", "json-text-json"],
+)
+def test_reused_parser_carries_no_state_between_calls(calls):
+    def outcome(result):
+        code, report = result
+        return code, report.machine, report.human
+
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(run_command(argv)))
+    cli._build_parser.cache_clear()
+    assert [outcome(run_command(argv)) for argv in calls] == fresh
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_json_export_is_the_export_text(tmp_path, capsys):
+    path = tmp_path / "su33.json"
+    assert main(["export", "su", "3", "3"]) == 0
+    path.write_text(capsys.readouterr().out)
+    for family in (["su", "3", "3"], ["file", str(path)]):
+        assert main(["export", *family]) == 0
+        text = capsys.readouterr().out
+        assert main(["--json", "export", *family]) == 0
+        assert capsys.readouterr().out == text
+        code, report = run_command(["--json", "export", *family])
+        assert report.human + "\n" == text
+        assert report.machine == json.loads(text)
+    original = path.read_text()
+    assert mf.dumps_modular_data(mf.load_modular_data(path), json.loads(original)["metadata"]) == original
+
+
+@pytest.mark.parametrize(
+    "corrupt, field",
+    [
+        (lambda doc: doc["S"][0][0].__setitem__(1, 10**400), "S[0][0]"),
+        (lambda doc: doc["theta"]["1"].__setitem__(1, 10**400), "theta['1']"),
+    ],
+    ids=["S", "theta"],
+)
+def test_integer_beyond_float_range_is_one_error_line(tmp_path, capsys, corrupt, field):
+    doc = mf.modular_data_to_dict(get_family("su", 2, 1))
+    corrupt(doc)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert main(["info", "file", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {field}: ") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["dims", "su", "2", "2", "--surface", "g=0[x]"],
