@@ -313,12 +313,29 @@ def test_once_punctured_sphere_reads_the_unit_slice(monkeypatch):
     assert cli._verify_family(data)["once-punctured-sphere"] is False
 
 
+def test_torus_dim_reads_the_handle(monkeypatch):
+    # slices correct, H_00 off by one: dim(1; ) = n must fail
+    data = get_family("su", 3, 2)
+    true = mf.verlinde_fusion(data)
+    handle = np.array(true.handle)
+    z = data.index(data.zero)
+    handle[z, z] += 1
+    broken = mf.FusionTensor(data.labels, true.slice, handle)
+    monkeypatch.setattr(cli, "verlinde_fusion", lambda data: broken)
+    assert cli._verify_family(data)["torus-dim"] is False
+
+
 def test_verify_all_passes_with_the_same_checks():
     code, report = run_command(["verify", "--all"])
     assert code == 0
     families = report.machine["families"]
     assert len(families) == 33 and all(fam["ok"] for fam in families.values())
     assert {tuple(fam["checks"]) for fam in families.values()} == {VERIFY_CHECKS}
+
+
+def _stride_draws(data, first, count, size):
+    """The fixed rule of the CLI: point s of test surface t gets label (1 + 3s + 5t) mod n."""
+    return [[data.labels[(1 + 3 * s + 5 * t) % data.n] for s in range(size)] for t in range(first, first + count)]
 
 
 def test_verify_gluing_draws_are_distinct_identities(monkeypatch):
@@ -333,13 +350,60 @@ def test_verify_gluing_draws_are_distinct_identities(monkeypatch):
     data = get_family("su", 3, 2)
     code, report = run_command(["verify", "su", "3", "2"])
     assert code == 0 and report.machine["families"]["su 3 2"]["checks"]["gluing-dimension"]
-    rng = np.random.default_rng(11)  # the draws of _verify_family
-    drawn = [[data.labels[int(t)] for t in rng.integers(0, data.n, size=2)] for _ in range(4)]
+    drawn = _stride_draws(data, 0, 4, 2)  # surfaces t = 0..3 of _verify_family
+    assert len({tuple(labs) for labs in drawn}) == 4
     assert len(seen) == 4
     for (a, p, q), labs in zip(seen, drawn):
         (component,) = a.components
         kept = [pt.label for pt in component.points if pt.id not in (p, q)]
         assert component.genus == 1 and kept == labs
+
+
+def test_verify_oracle_surfaces_are_the_fixed_draws(monkeypatch):
+    seen = []
+    real = cli.state_dim_verlinde
+
+    def record(data, a):
+        seen.append(a)
+        return real(data, a)
+
+    monkeypatch.setattr(cli, "state_dim_verlinde", record)
+    data = get_family("su", 3, 2)
+    code, report = run_command(["verify", "su", "3", "2"])
+    assert code == 0 and report.machine["families"]["su 3 2"]["checks"]["oracle-equivalence"]
+    drawn = _stride_draws(data, 4, 3, 3)  # surfaces t = 4..6, after the four gluing ones
+    assert len({tuple(labs) for labs in drawn}) == 3
+    assert [(c.genus, [pt.label for pt in c.points]) for (c,) in (a.components for a in seen)] == list(
+        zip((0, 1, 2), drawn)
+    )
+
+
+def test_scaling_sign_checks_are_the_fixed_draws(monkeypatch):
+    seen = []
+    real = cli.self_duality_scalar
+
+    def record(data, sdd, sp, a):
+        seen.append(a)
+        return real(data, sdd, sp, a)
+
+    monkeypatch.setattr(cli, "self_duality_scalar", record)
+    # n = 8 is prime to the stride 5 over surfaces, so the 8 spheres are distinct;
+    # both modes check the same spheres
+    data = get_family("su", 2, 7)
+    code, report = run_command(["scaling", "su", "2", "7"])
+    assert code == 0
+    drawn = _stride_draws(data, 0, 8, 3)
+    assert len({tuple(labs) for labs in drawn}) == 8
+    assert [(c.genus, [pt.label for pt in c.points]) for (c,) in (a.components for a in seen)] == [
+        (0, labs) for labs in drawn
+    ]
+
+
+def test_verify_refuses_family_tokens_with_all(capsys):
+    assert main(["verify", "su", "2", "2", "--all"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: verify: give family tokens or --all, not both\n"
 
 
 def test_mf_tol_env(monkeypatch):
@@ -496,15 +560,22 @@ def test_runtime_never_imports_sympy():
     assert out.stdout.strip() == "False"
 
 
-def test_dims_and_characters_never_import_numpy_random():
-    # importing numpy.random alone adds about 6 MB to the peak RSS of a run
+def test_no_command_imports_numpy_random():
+    # importing numpy.random alone adds about 6 MB to the peak RSS of a run;
+    # numpy releases that load it on import are the baseline, not a failure
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    probe = "print('numpy.random' in sys.modules)\n"
     script = (
         "import sys\n"
         "from modfunctor.cli import run_command\n"
-        "for argv in (['dims', 'su', '4', '6', '--surface', 'g=2[1,1]'], ['characters', 'su', '4', '6']):\n"
+        "for argv in (['dims', 'su', '4', '6', '--surface', 'g=2[1,1]'], ['characters', 'su', '4', '6'],"
+        " ['verify', '--all'], ['verify', 'su', '3', '2'], ['scaling', 'su', '4', '6', '--mode', 'strict'],"
+        " ['scaling', 'su', '4', '6', '--mode', 'canonical']):\n"
         "    assert run_command(argv)[0] == 0, argv\n"
-        "print('numpy.random' in sys.modules)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    runs = [
+        subprocess.run([sys.executable, "-c", code + probe], env=env, capture_output=True, text=True, check=True)
+        for code in ("import sys\nimport numpy\n", script)
+    ]
+    baseline, after = (run.stdout.strip() for run in runs)
+    assert after == baseline
