@@ -6,15 +6,16 @@ mu(i) mu(j) = mu(k) whenever N_ij^k > 0.  For modular data U is dual to
 the group G of invertible labels, those i with i (x) dual(i) simple
 (Gelaki-Nikshych, "Nilpotent fusion categories", 2008): every character
 of U is the monodromy charge i -> S_gi S_00 / (S_0g S_0i) of exactly one
-g in G.  :func:`dual_group` therefore reads only G's multiplication
-table, from the label permutations sigma_g that :func:`verlinde_fusion`
-finds and certifies (``FusionTensor.currents``), and |G| rows of S; it
-reads no fusion slice and never the full fusion support.  The integer
-Smith normal form that presents the group, and whose left transform
-spans the kernel behind the certificate below, is computed in place in
-Python ints with sympy's pivot steps in sympy's order, and only its
-invariant factors and left transform are formed; sympy is needed only
-by the tests.  Character
+g in G.  :func:`dual_group` therefore reads only the simple-current layer
+that :func:`verlinde_fusion` finds and certifies: G's multiplication
+table, from the label permutations sigma_g (``FusionTensor.currents``),
+and the integer charges of its members (``FusionTensor.charges``).  It
+reads neither S nor any fusion slice, and never the full fusion support.
+The integer Smith normal form that presents the group, and whose left
+transform spans the kernel behind the certificate below, is computed in
+place in Python ints with sympy's pivot steps in sympy's order, and only
+its invariant factors and left transform are formed; sympy is needed
+only by the tests.  Character
 values are rationals mod 1 (the exponent of e^{2 pi i x}), stored as
 :class:`fractions.Fraction`, so everything downstream is exact.
 
@@ -224,17 +225,19 @@ def dual_group(data, fusion):
 
     For modular data the universal grading group is dual to G
     (Gelaki-Nikshych), and g in G acts on it as the character given by the
-    monodromy charge q_g(i) = S_gi S_00 / (S_0g S_0i).  A Smith form of
-    G's multiplication relations e_g + e_h - e_gh gives the invariant
-    factors d_j and a basis g_j of G; label i then has coordinates
-    d_j q_{g_j}(i) mod d_j.  The invariant factors are canonical; the
-    images are canonical only up to an automorphism of the group.
-    G and its multiplication g h = sigma_g(h) are ``fusion.currents``, the
-    invertible labels and their permutations that :func:`verlinde_fusion`
-    found while checking the fusion rules; no slice is read.
+    monodromy charge exp(2 pi i q_g(i) / |G|) = S_gi S_00 / (S_0g S_0i).  A
+    Smith form of G's multiplication relations e_g + e_h - e_gh gives the
+    invariant factors d_j and a basis g_j of G; label i then has
+    coordinates q_{g_j}(i) d_j / |G| mod d_j.  The invariant factors are
+    canonical; the images are canonical only up to an automorphism of the
+    group.  G, its multiplication g h = sigma_g(h) and the integer charges
+    q_g are ``fusion.currents`` and ``fusion.charges``, which
+    :func:`verlinde_fusion` found and certified while checking the fusion
+    rules; neither S nor any slice is read.
 
     Raises :class:`InvalidModularData`, naming both labels, when a charge
-    of g_j is not a d_j-th root of unity within `data.tol`.
+    of g_j is not a d_j-th root of unity, i.e. |G| does not divide
+    q_{g_j}(i) d_j.
     """
     group = sorted(fusion.currents)
     pos = {g: a for a, g in enumerate(group)}
@@ -247,20 +250,17 @@ def dual_group(data, fusion):
     kept = [a for a, d in enumerate(invs) if d > 1]
     factors = tuple(invs[a] for a in kept)
     by_coords = {tuple(int(left[a, pos[g]]) % d for a, d in zip(kept, factors)): g for g in group}
-    S, z = data.S, data.index(data.zero)
     columns = []
     for j, d in enumerate(factors):
         g = by_coords[tuple(int(a == j) for a in range(len(factors)))]
-        charge = S[g] * S[z, z] / (S[z, g] * S[z])
-        k = np.round(np.angle(charge) * d / (2 * np.pi))
-        dev = np.abs(charge - np.exp(2j * np.pi * k / d))
-        i = int(np.argmax(dev))
-        if dev[i] > data.tol:
+        k, off = np.divmod(fusion.charges[g] * d, len(group))
+        if off.any():
+            i = int(off.argmax())
             raise InvalidModularData(
                 f"monodromy charge of {data.labels[g]!r} on {data.labels[i]!r} is "
-                f"{complex(charge[i]):.6g}, not a {d}-th root of unity"
+                f"exp(2 pi i {fusion.charges[g][i]}/{len(group)}), not a {d}-th root of unity"
             )
-        columns.append([int(x) % d for x in k])
+        columns.append(k.tolist())  # q in [0, |G|), so k in [0, d)
     image = {lab: tuple(col[i] for col in columns) for i, lab in enumerate(data.labels)}
     return DualGroupPresentation(labels=data.labels, invariant_factors=factors, label_image=image)
 

@@ -183,19 +183,6 @@ def _column_max(M):
     return max(1, int(M.sum(axis=0).max()))
 
 
-def _orbits(currents, n):
-    """(rep, via) with x = sigma_{via[x]}(rep[x]), rep[x] the least label of x's orbit under `currents`.
-
-    With no currents every label represents itself.
-    """
-    rep, via = np.arange(n), np.zeros(n, dtype=np.int64)
-    for sigma in currents.values():
-        np.minimum(rep, sigma, out=rep)
-    for J, sigma in currents.items():
-        via[sigma[rep]] = J
-    return rep, via
-
-
 class FusionTensor:
     """Integer fusion multiplicities N[i, j, k] = N_{ij}^k in label order, read by slice.
 
@@ -208,19 +195,23 @@ class FusionTensor:
     torus with points x and dual(y), and `handle_column_max` its largest
     column sum.
 
-    `currents` maps each invertible label J (simple current, the unit
-    included) to its label permutation sigma_J(x) = J (x) x, a read-only
-    int64 array; together they form the group G, and g h = sigma_g(h).
-    :func:`verlinde_fusion` fills it; it is empty on a tensor built by
-    hand, where every label represents its own orbit.  `slice_of(r)` is
-    called only for a representative r, the least label of its orbit.  For
-    a label j = sigma_J(r) whose representative r is another label,
+    The simple-current layer that :func:`verlinde_fusion` certified is kept
+    as it was found there.  `currents` maps each invertible label J (simple
+    current, the unit included) to its label permutation
+    sigma_J(x) = J (x) x, a read-only int64 array; together they form the
+    group G, and g h = sigma_g(h).  `charges` maps each J to the read-only
+    int64 array of monodromy charges q_J(x) in [0, |G|): the monodromy of
+    J on x is exp(2 pi i q_J(x) / |G|).  `rep[x]` is the representative of
+    x's orbit, its least label, and `via[x]` the current J with
+    x = sigma_J(rep[x]).  `slice_of(r)` is called only for a representative
+    r.  For a label j = sigma_J(r) whose representative r is another label,
     `slice(j)` is the column permutation N_j[:, sigma_J(y)] = N_r[:, y] of
-    the cached `slice(r)`, and `column_max[j]` is `column_max[r]`.
-    `deviation` is the fusion deviation that :func:`verlinde_fusion`
-    compared with its tolerance: the largest measured deviation of a
-    representative pair plus the derived bounds for every other
-    coefficient (None on a tensor built by hand).
+    the cached `slice(r)`, and `column_max[j]` is `column_max[r]`.  On a
+    tensor built by hand every label represents itself: `currents` and
+    `charges` are empty and `via` is None.  `deviation` is the fusion
+    deviation that :func:`verlinde_fusion` compared with its tolerance: the
+    largest measured deviation of a representative pair plus the derived
+    bounds for every other coefficient (None on a tensor built by hand).
 
     Compared (and hashed) by identity: the tensor is derived data, so two
     instances built from the same category are interchangeable anyway.
@@ -232,34 +223,28 @@ class FusionTensor:
             raise InvalidModularData("handle operator shape does not match label count")
         self.labels = tuple(labels)
         self.currents = {}
+        self.charges = {}
+        self.rep, self.via = np.arange(n), None
         self.handle = handle
         self.handle_column_max = _column_max(handle)
         self.column_max = {}
         self._slice_of = slice_of
         self._slices = {}
         self.deviation = None
-        self._rep_via = None
         self._N = None
-
-    def _representative(self, j):
-        """(r, sigma_J) with j = sigma_J(r) and r the least label of j's orbit under `currents`."""
-        if self._rep_via is None:
-            self._rep_via = _orbits(self.currents, len(self.labels))
-        rep, via = self._rep_via
-        return int(rep[j]), self.currents.get(int(via[j]))
 
     def slice(self, j):
         """N[:, j, :] as an int64 matrix (N_j)_{xy} = N_{xj}^y, cached."""
         M = self._slices.get(j)
         if M is None:
-            r, sigma = self._representative(j)
+            r = int(self.rep[j])
             if r == j:
                 M = self._slice_of(j)
                 self.column_max[j] = _column_max(M)
             else:  # permuting the columns keeps every column sum
                 R = self.slice(r)
                 M = np.empty_like(R)
-                M[:, sigma] = R
+                M[:, self.currents[int(self.via[j])]] = R
                 self.column_max[j] = self.column_max[r]
             M.setflags(write=False)
             self._slices[j] = M
@@ -276,12 +261,11 @@ class FusionTensor:
         if self._N is None:
             n = len(self.labels)
             N = np.empty((n, n, n), dtype=np.int64)
-            for j in range(n):
-                r, sigma = self._representative(j)
+            for j, r in enumerate(self.rep.tolist()):
                 if r == j:
                     N[:, j, :] = self._slice_of(j)
                 else:  # r < j is already in place
-                    N[:, j, sigma] = N[:, r, :]
+                    N[:, j, self.currents[int(self.via[j])]] = N[:, r, :]
             N.setflags(write=False)
             self._N = N
         return self._N
@@ -557,7 +541,8 @@ def verlinde_fusion(data, atol=None):
     S_{x, sigma_J(r)} = psi_J(x) S_{xr}.  Write t = psi_J(0) (the dimension
     of J) and phi_J = psi_J / t, a |G|-th root of unity; the charge of x is
     the integer q_J(x) = round(|G| arg phi_J(x) / 2 pi) mod |G|, and labels
-    with the same charge under every J form a class.  Substituting
+    with the same charge under every J form a class (the charges are kept as
+    `FusionTensor.charges`).  Substituting
     r -> sigma_J(r) in T(i, j, k) = sum_r f(r), f(r) = S_{ir} S_{jr}
     conj(S_{kr}) / S_{0r}, multiplies the sum by |t|^2 Phi with
     Phi = exp(2 pi i (q_J(i) + q_J(j) - q_J(k)) / |G|).  So T vanishes
@@ -662,7 +647,9 @@ def verlinde_fusion(data, atol=None):
     while n <= 512) and keeps none of them: the returned :class:`FusionTensor`
     computes a representative's slice when it is first read, as one folded
     product, n^3 / |G| work, with its unbalanced entries masked to 0, and
-    permutes the columns of that cached slice for the rest of the orbit.
+    permutes the columns of that cached slice for the rest of the orbit,
+    through the representatives and currents found here
+    (`FusionTensor.rep` and `FusionTensor.via`).
     The handle check runs first, so its failure is the one raised.
     """
     if atol is None:
@@ -770,6 +757,8 @@ def verlinde_fusion(data, atol=None):
         )
 
     P.setflags(write=False)
+    Q = Q.astype(np.int64)  # finite now: the deviation check passed
+    Q.setflags(write=False)
     balanced = add[cls].T  # balanced[c, x] = class x + class c
 
     def slice_of(r):
@@ -780,6 +769,9 @@ def verlinde_fusion(data, atol=None):
 
     fusion = FusionTensor(data.labels, slice_of, handle)
     fusion.currents = dict(zip(P[:, z].tolist(), P))
+    fusion.charges = dict(zip(P[:, z].tolist(), Q))
+    fusion.rep, fusion.via = rep, np.empty(n, dtype=np.int64)
+    fusion.via[P[:, rep]] = P[:, z, None]  # sigma_J(rep[x]) = x; at a fixed point any such J serves
     fusion.deviation = dev
     return fusion
 

@@ -225,7 +225,10 @@ def _component_dim(data, fusion, genus, labels):
     of fusion slices (N_j)_{xy} = N_{xj}^y followed by powers of the
     handle operator H = sum_j N_j N_{j*}, all in integers: int64 while the
     product of the largest column sums bounds every entry below 2^62,
-    Python ints above.
+    Python ints above.  The powers of H stop at a fixed point v H = v,
+    exactly; for valid data that is a one-label family (H = [[1]]) or
+    v = 0, since for n > 1 every eigenvalue S_{0r}^{-2} of H exceeds 1 in
+    modulus.
     """
     idx = [data.index(l) for l in labels]
     z = data.index(data.zero)
@@ -244,7 +247,11 @@ def _component_dim(data, fusion, genus, labels):
     for M in slices:
         v = v @ M
     for _ in range(genus):
-        v = v @ fusion.handle
+        w = v @ fusion.handle
+        # at v H = v every later step is the same (valid data: n = 1 or v = 0); one step skips none
+        if genus > 1 and (w == v).all():
+            break
+        v = w
     return int(v[z])
 
 

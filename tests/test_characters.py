@@ -1,5 +1,6 @@
 """Grading group presentations, characters, and the symplectic search."""
 
+import copy
 import functools
 import hashlib
 import itertools
@@ -96,16 +97,40 @@ def test_su48_group_without_relation_matrix():
     assert report.machine["free_rank"] == 0
 
 
-def test_non_root_of_unity_charge_is_rejected(su22):
+def test_twisted_charge_is_refused_by_the_fusion_check(su22):
     # twist the phase of S at (2, 1): the charge of invertible "2" on "1"
-    # moves off the square roots of unity while S stays symmetric
+    # moves off the square roots of unity while S stays symmetric; the
+    # current layer that dual_group reads is never handed out
     S = su22.S.copy()
     i, g = su22.index("1"), su22.index("2")
     S[g, i] *= np.exp(0.1j)
     S[i, g] *= np.exp(0.1j)
     data = mf.ModularData(su22.labels, su22.zero, su22.dual, S, su22.theta, tol=su22.tol)
-    with pytest.raises(mf.InvalidModularData, match="'2' on '1'"):
-        dual_group(data, get_fusion(su22))
+    with pytest.raises(mf.NonIntegralFusion, match="handle operator deviates from integers by up to 1.414e-01"):
+        mf.verlinde_fusion(data)
+
+
+def test_charge_off_the_invariant_factor_roots_is_rejected():
+    # lie D 4 1: G is Z2 x Z2, so |G| = 4, d_j = 2 and every charge is even;
+    # an odd charge of a basis element g_j is no square root of unity
+    data = get_family("lie", "D", 4, 1)
+    fusion = get_fusion(data)
+    assert dual_group(data, fusion).invariant_factors == (2, 2)
+    x = data.n - 1
+    rejected = []
+    for J in fusion.currents:
+        if J == data.index(data.zero):
+            continue
+        bent = copy.copy(fusion)
+        bent.charges = dict(fusion.charges)
+        bent.charges[J] = fusion.charges[J].copy()
+        bent.charges[J][x] = 1
+        try:
+            dual_group(data, bent)
+        except mf.InvalidModularData as exc:
+            assert f"monodromy charge of {data.labels[J]!r} on {data.labels[x]!r}" in str(exc)
+            rejected.append(J)
+    assert len(rejected) == 2  # the two basis elements; the third current is their product
 
 
 def test_trivial_category_group():

@@ -586,6 +586,31 @@ def test_key_matched_currents_match_slice_currents(tokens):
         assert np.array_equal(got[J], sigma) and not got[J].flags.writeable
 
 
+@pytest.mark.parametrize(
+    "tokens", builtin_tokens() + [("su", 5, 6)], ids=lambda t: " ".join(map(str, t))
+)
+def test_tensor_keeps_the_charges_and_orbits_of_the_current_pass(tokens):
+    data = get_family(*tokens)
+    fusion = get_fusion(data)
+    cls, keys, _g = charge_classes(data, fusion.currents)
+    by_label = np.array(keys)[cls]  # by_label[x, a] = charge of x under the a-th current
+    assert list(fusion.charges) == list(fusion.currents)
+    for a, q in enumerate(fusion.charges.values()):
+        assert q.dtype == np.int64 and not q.flags.writeable
+        assert np.array_equal(q, by_label[:, a])
+    least = np.min(list(fusion.currents.values()), axis=0)
+    assert np.array_equal(fusion.rep, least)
+    for x in range(data.n):
+        assert fusion.currents[int(fusion.via[x])][fusion.rep[x]] == x
+
+
+def test_hand_built_tensor_has_no_current_layer(su22):
+    fusion = mf.FusionTensor(su22.labels, get_fusion(su22).slice, get_fusion(su22).handle)
+    assert fusion.currents == {} and fusion.charges == {} and fusion.via is None
+    assert np.array_equal(fusion.rep, np.arange(su22.n))
+    assert np.array_equal(fusion.N, get_fusion(su22).N)
+
+
 def _folded_pairs(data):
     """(balanced columns, folded sums, full sums) for each pair i <= j of representatives."""
     S, n = data.S, data.n

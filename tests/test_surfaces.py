@@ -1,9 +1,12 @@
 """Marked surfaces, gluing/cutting, and state-space dimensions."""
 
+import time
+
 import numpy as np
 import pytest
 
 import modfunctor as mf
+from modfunctor.cli import run_command
 from modfunctor.surfaces import Component, MarkedPoint, Surface
 from conftest import get_family, get_fusion
 
@@ -303,3 +306,15 @@ def test_state_dim_exact_at_high_genus(tokens, genus, labels, want):
     assert type(got) is int
     if want is not None:
         assert got == want
+
+
+@pytest.mark.parametrize("tokens", [("su", "2", "0"), ("lie", "G", "2", "0")], ids=" ".join)
+def test_one_label_family_stops_after_one_handle_step(tokens):
+    # H = [[1]], so v H = v after the first step and the recursion returns
+    # at once, at a genus whose loop would never finish
+    argv = ["--json", "dims", *tokens, "--surface", "g=99999999999999999999[]"]
+    start = time.perf_counter()
+    code, report = run_command(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0, report.human
+    assert report.machine["state_dim"] == report.machine["state_dim_verlinde"] == 1
