@@ -7,6 +7,7 @@ import subprocess
 import sys
 import types
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,36 @@ def test_scaling_command():
     doc = json.loads(report.human)
     assert abs(doc["u"]["1"][0] - 2.0 ** 0.125) < 1e-12
     assert abs(doc["u"]["1"][1]) < 1e-12
+
+
+def test_characters_and_strict_scaling_report_the_certificate(monkeypatch):
+    # lie G 2 1 has the trivial grading group, so a symplectic target on
+    # its nontrivial label has no character: both commands take their
+    # certificate branch
+    monkeypatch.setattr(mf.characters, "_indicator_targets", lambda data: {"0.0": 0, "0.1": Fraction(1, 2)})
+    family = ["lie", "G", "2", "1"]
+    data = get_family(*family)
+    found = mf.find_fundamental_symplectic_character(data, pres=mf.dual_group(data, mf.verlinde_fusion(data)))
+    assert isinstance(found, mf.InfeasibilityCertificate)
+    code, report = run_command(["--json", "characters", *family])
+    assert code == 1
+    doc = json.loads(report.human)
+    assert doc["certificate"] == {"coefficients": {"0.1": 1}, "target_sum": "1/2"}
+    assert doc["fundamental_symplectic"] is None
+    assert doc["invariant_factors"] == [] and doc["generators"] == []
+    code, report = run_command(["characters", *family])
+    assert code == 1
+    assert report.human.splitlines()[2:] == [
+        "fundamental symplectic character: none (certificate below)",
+        "  certificate coefficients: {'0.1': 1}",
+        "  certificate target sum: 1/2 (not an integer)",
+    ]
+    code, report = run_command(["--json", "scaling", *family, "--mode", "strict"])
+    assert code == 1
+    assert json.loads(report.human) == {"family": "lie G 2 1", "mode": "strict", "solvable": False}
+    code, report = run_command(["scaling", *family, "--mode", "strict"])
+    assert code == 1
+    assert report.human == "family: lie G 2 1\nno fundamental symplectic character; strict scaling impossible"
 
 
 def test_verify_command():
