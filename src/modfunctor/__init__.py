@@ -30,11 +30,9 @@ from .fileio import (
 from .lie import (
     LieData,
     alcove_weights,
-    parse_young_label,
     simple_lie_modular_data,
     su_level_labels,
     su_modular_data,
-    young_dagger,
     young_label,
 )
 from .modular_data import (

@@ -36,12 +36,8 @@ from itertools import product
 
 import numpy as np
 
-from .modular_data import (
-    InvalidModularData,
-    ScaleLimit,
-    fs_indicators,
-    verlinde_fusion,
-)
+from .modular_data import InvalidModularData, ScaleLimit, fs_indicators
+from .surfaces import state_dim
 
 __all__ = [
     "GroupCharacter",
@@ -296,21 +292,17 @@ def _indicator_targets(data):
     }
 
 
-def find_fundamental_symplectic_character(data, fusion=None, pres=None):
+def find_fundamental_symplectic_character(data, pres):
     """Character that is -1 exactly on symplectic labels, or a certificate.
 
-    Enumerates the (small) character group of the torsion part, keeps the
-    solutions and returns the one whose value tuple in label order is
-    lexicographically smallest; with no symplectic labels this is the
-    identity.  When no
-    character fits, an :class:`InfeasibilityCertificate` is constructed
-    from the kernel lattice of the constraint map and verified before
-    being returned.
+    `pres` is :func:`dual_group` of `data`.  Enumerates the (small)
+    character group of the torsion part, keeps the solutions and returns
+    the one whose value tuple in label order is lexicographically smallest;
+    with no symplectic labels this is the identity.  When no character
+    fits, an :class:`InfeasibilityCertificate` is constructed from the
+    kernel lattice of the constraint map and verified before being
+    returned.
     """
-    if fusion is None:
-        fusion = verlinde_fusion(data)
-    if pres is None:
-        pres = dual_group(data, fusion)
     if pres.torsion_order > _ENUM_CAP:
         raise ScaleLimit(f"character enumeration over order {pres.torsion_order} exceeds cap")
     targets = _indicator_targets(data)
@@ -354,17 +346,13 @@ def _verify_certificate(pres, cert):
             raise InvalidModularData("infeasibility certificate failed verification")
 
 
-def vanishing_check(data, chi, a, fusion=None):
+def vanishing_check(data, fusion, chi, a):
     """True iff: the label character-sum being nonzero forces a zero state space.
 
     For a character chi of the grading group, sum_l chi(i_l) != 0 in Q/Z
-    must imply state_dim(a) = 0; the check reports that implication for
-    one surface (vacuously true when the sum vanishes).
+    must imply state_dim(data, fusion, a) = 0; the check reports that
+    implication for one surface (vacuously true when the sum vanishes).
     """
-    from .surfaces import state_dim
-
-    if fusion is None:
-        fusion = verlinde_fusion(data)
     total = sum((chi(lab) for lab in a.labels()), Fraction(0)) % 1
     if total == 0:
         return True

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import (
+    InfeasibilityCertificate,
     dual_group,
     find_fundamental_symplectic_character,
     generator_characters,
@@ -48,7 +49,6 @@ from .modular_data import (
     verlinde_fusion,
 )
 from .scaling import (
-    ScalingPair,
     SelfDualityData,
     mu_scaled,
     s_factor,
@@ -87,6 +87,9 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep argparse from calling sys.exit
         raise UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
 
+
+# bytes of dense int64 fusion slices that verify may hold: 8 n^3, so n <= 645
+_VERIFY_SLICE_BUDGET = 2 << 30
 
 _COMPONENT_RE = re.compile(r"^\s*g\s*=\s*(\d+)\s*\[([^\[\]]*)\]\s*$")
 
@@ -232,12 +235,16 @@ def _char_values(data, chi):
     return {lab: str(chi(lab)) for lab in data.labels}
 
 
+def _fundamental(data):
+    """The grading group of `data` and its fundamental symplectic character, or a certificate."""
+    pres = dual_group(data, verlinde_fusion(data))
+    return pres, find_fundamental_symplectic_character(data, pres)
+
+
 def _cmd_characters(args, tol):
     data, meta = parse_family(args.family, tol=tol)
-    fusion = verlinde_fusion(data)
-    pres = dual_group(data, fusion)
+    pres, found = _fundamental(data)
     gens = generator_characters(pres)
-    found = find_fundamental_symplectic_character(data, fusion, pres)
     machine = {
         "family": meta["family"],
         "invariant_factors": [int(x) for x in pres.invariant_factors],
@@ -255,7 +262,7 @@ def _cmd_characters(args, tol):
         vals = ", ".join(f"{lab}:{chi(lab)}" for lab in data.labels)
         lines.append(f"  generator {gi}: {vals}")
     code = 0
-    if hasattr(found, "coefficients"):  # infeasibility certificate
+    if isinstance(found, InfeasibilityCertificate):
         machine["certificate"] = {
             "coefficients": {lab: int(c) for lab, c in found.coefficients.items()},
             "target_sum": str(found.target_sum),
@@ -280,10 +287,8 @@ def _cmd_scaling(args, tol):
     data, meta = parse_family(args.family, tol=tol)
     sdd = SelfDualityData.defaults(data)
     if args.mode == "strict":
-        fusion = verlinde_fusion(data)
-        pres = dual_group(data, fusion)
-        found = find_fundamental_symplectic_character(data, fusion, pres)
-        if hasattr(found, "coefficients"):
+        _, found = _fundamental(data)
+        if isinstance(found, InfeasibilityCertificate):
             human = (
                 f"family: {meta['family']}\n"
                 "no fundamental symplectic character; strict scaling impossible"
@@ -333,7 +338,17 @@ def _cmd_scaling(args, tol):
 
 
 def _verify_family(data):
-    """Invariant suite for one family; returns {check name: bool}."""
+    """Invariant suite for one family; returns {check name: bool}.
+
+    Raises :class:`ScaleLimit` before any check when the n dense slices it
+    holds would pass `_VERIFY_SLICE_BUDGET`.
+    """
+    n = data.n
+    if 8 * n**3 > _VERIFY_SLICE_BUDGET:
+        raise ScaleLimit(
+            f"verify would hold n = {n} dense fusion slices of n^2 int64, {8 * n**3} bytes, "
+            f"over its budget of {_VERIFY_SLICE_BUDGET} bytes"
+        )
     checks = {}
     checks["axioms"] = validate_modular_data(data).ok
     try:
@@ -341,7 +356,6 @@ def _verify_family(data):
         checks["fusion-integral"] = True
     except InvalidModularData:
         return dict(checks, **{"fusion-integral": False})
-    n = data.n
     z = data.index(data.zero)
     dual = np.array([data.dual_index(i) for i in range(n)])
     # every identity reads the slices M[j] = N[:, j, :], never the n^3 stack

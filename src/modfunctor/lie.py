@@ -21,7 +21,7 @@ row is real positive; both hand it over read-only, so it is not copied.
 In addition this module knows the combinatorial side of the
 special-unitary family: a Young diagram is the tuple of its positive,
 weakly decreasing row lengths (the empty tuple is the unit), with its
-label string and its transpose-complement duality.
+label string.
 """
 
 from __future__ import annotations
@@ -37,9 +37,7 @@ from .modular_data import DEFAULT_TOL, InvalidModularData, ModularData, ScaleLim
 
 __all__ = [
     "young_label",
-    "parse_young_label",
     "su_level_labels",
-    "young_dagger",
     "su_modular_data",
     "LieData",
     "weight_label",
@@ -64,22 +62,6 @@ def young_label(rows):
     return ".".join(str(r) for r in rows)
 
 
-def parse_young_label(text):
-    """Inverse of :func:`young_label`: the row tuple, positive and weakly decreasing."""
-    text = text.strip()
-    if text == "0":
-        return ()
-    try:
-        rows = tuple(int(p) for p in text.split("."))
-    except ValueError:
-        raise InvalidModularData(f"cannot parse diagram label {text!r}") from None
-    if any(r <= 0 for r in rows):
-        raise InvalidModularData(f"rows must be positive: {rows}")
-    if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
-        raise InvalidModularData(f"rows must be weakly decreasing: {rows}")
-    return rows
-
-
 def su_level_labels(N, k):
     """Row tuples of the diagrams with fewer than N rows and first row at most k.
 
@@ -94,22 +76,6 @@ def su_level_labels(N, k):
     out = [tuple(r for r in rows if r) for rows in combinations_with_replacement(range(k, -1, -1), N - 1)]
     out.sort(key=lambda rows: (sum(rows), rows))
     return out
-
-
-def young_dagger(N, rows):
-    """Duality on row tuples: complement in the lambda_1 x N box, rows reversed.
-
-    Row r of the result is lambda_1 - lambda_{N+1-r} (missing rows read as 0,
-    zero rows dropped).  Involutive, and size(d) + size(dagger) = N * lambda_1.
-    """
-    if len(rows) >= N:
-        raise InvalidModularData(f"{rows} has too many rows for N={N}")
-    if not rows:
-        return rows
-    top = rows[0]
-    full = list(rows) + [0] * (N - len(rows))
-    out = tuple(top - full[N - 1 - r] for r in range(N))
-    return tuple(r for r in out if r > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +140,8 @@ def su_modular_data(N, k, tol=DEFAULT_TOL):
     and twists are e^{pi i <lambda, lambda+2 rho>/(k+N)}.  With
     kappa = k + N, a label is its vector l = lambda + rho of shifted parts
     (strictly decreasing, l_N = 0, entries in 0..kappa-1), and the dual of
-    l is l_1 - reversed(l), the shifted parts of :func:`young_dagger`.
+    l is l_1 - reversed(l): the diagram's complement in its lambda_1 x N
+    box, rows reversed, read on the bit set of l.
     Up to one scalar, the S entry of labels l and m is the Weyl-group
     alternating sum
 

@@ -270,10 +270,6 @@ class FusionTensor:
             self._N = N
         return self._N
 
-    def coeff(self, data, i, j, k):
-        """N_{ij}^k by label name."""
-        return int(self.slice(data.index(j))[data.index(i), data.index(k)])
-
 
 @dataclass
 class ValidationReport:
@@ -420,8 +416,6 @@ def _simple_currents(S, z):
     row0 = S[z]
     unit = np.arange(n)[None]
     cand = (np.abs(np.abs(row0 / row0[z]) - 1) <= _INVERTIBLE_DIM_TOL).nonzero()[0]
-    if len(cand) == 1:
-        return unit
     # found[x, a] = (psi_{J_a} S_x) v; the unit's column is S v itself, the keys of the labels
     found = S @ (S[cand] / row0 * np.exp(_KEY_PHASE * np.arange(n))).T
     ranks = found.real.argsort(axis=0)
@@ -451,13 +445,15 @@ def _current_pass(S, z, P):
     under J = P[a, z]; `bound` is orbit + fold + skip; `handle_bound` is
     (u, h, w, rho) with u = A h + B rho and w = B h + rho, so that handle
     entry (x, y) of a representative row is within u_x h_y + w_x rho_y of
-    every entry it stands for.  With G = {0} the charges are 0, `bound` is
-    0 and `handle_bound` None.  When nu or beta leaves no room for the
-    derivation the bounds are infinite.  Works in row blocks.
+    every entry it stands for.  With G = {0} the charges, `bound` and
+    `handle_bound` are 0: there the gap 2 sin(pi / |G|) is 0 (2.4e-16 in
+    floats), and the bounds below divide by it.  When nu or beta leaves no
+    room for the derivation the bounds are infinite.  Works in row blocks.
     """
     g, n = P.shape
     if g == 1:
-        return np.zeros((1, n), dtype=np.int64), 0.0, None
+        zero = np.zeros(n)
+        return np.zeros((1, n), dtype=np.int64), 0.0, (zero, zero, zero, zero)
     row0 = S[z]
     Psi = S[P[:, z]] / row0  # Psi[a, r] = psi_J(r)
     t = Psi[:, z]
@@ -614,8 +610,8 @@ def verlinde_fusion(data, atol=None):
 
         fold = m ((|G| - 1) (nu s + 3 de tau) + eta s)
 
-    of the full one.  When G is larger than {0} the reported deviation is
-    the representatives' largest deviation plus orbit + fold + skip, and it
+    of the full one.  The reported deviation is the representatives'
+    largest deviation plus orbit + fold + skip (all 0 when G = {0}), and it
     alone is compared with `atol`: a residual of (I) fails as a coefficient
     that is not an integer.  It is kept as `FusionTensor.deviation`.  The
     negative-coefficient error names a representative triple.
@@ -683,9 +679,8 @@ def verlinde_fusion(data, atol=None):
     # handle: representative rows, folded; an off-class entry is 0 within its bound
     hw = row0[R] ** -2 * size
     abs_hw, abs_t = np.abs(hw), np.abs(SctR)
-    if handle_bound is not None:
-        u, h, w, rho = handle_bound
-        u, w = u[reps, None], w[reps, None]
+    u, h, w, rho = handle_bound
+    u, w = u[reps, None], w[reps, None]
     handle = np.empty((n, n), dtype=np.int64)
     worst, bad = 0.0, False
     SRR = SR[R]  # the representatives' rows: a view when every label is one
@@ -695,26 +690,24 @@ def verlinde_fusion(data, atol=None):
         raw = (rows * hw) @ SctR
         rounded = np.rint(raw.real)
         dev = np.abs(raw - rounded)
-        if handle_bound is not None:
-            same = cls[X, None] == cls
-            rounded *= same
-            dev *= same
-            dev += u[x0 : x0 + step] * h + w[x0 : x0 + step] * rho
+        same = cls[X, None] == cls
+        rounded *= same
+        dev *= same
+        dev += u[x0 : x0 + step] * h + w[x0 : x0 + step] * rho
         handle[X] = rounded
         scale = (np.abs(rows) * abs_hw) @ abs_t
         bad = bad or not (dev <= _integer_tolerance(atol, scale)).all()
         worst = max(worst, dev.max())
     if bad:
         raise NonIntegralFusion(f"handle operator deviates from integers by up to {worst:.3e}")
-    if g > 1:
-        handle[P[:, reps, None], P[:, None]] = handle[reps]
+    handle[P[:, reps, None], P[:, None]] = handle[reps]
     del SRR, abs_t, raw, rounded, dev, scale  # none of the handle's blocks lives next to the fusion's
 
     # fusion: pairs i <= j of representatives, sorted by the class of i + j,
     # each summed over the columns of that class only
     by_class = cls.argsort(kind="stable")  # labels by class
     starts = cls[by_class].searchsorted(np.arange(C + 1)).tolist()
-    columns = SctR[:, by_class] if C > 1 else SctR
+    columns = SctR[:, by_class]
     cls_r = cls[reps]
     nr = len(reps)
     rows_per = max(1, min(n, _BLOCK // max(nr, *(b - a for a, b in zip(starts, starts[1:])))))
@@ -763,8 +756,7 @@ def verlinde_fusion(data, atol=None):
 
     def slice_of(r):
         M = np.rint(((SR * (S[r, R] / wr0)) @ SctR).real)
-        if C > 1:  # keep the balanced entries, class(y) = class(x) + class(r)
-            M *= cls == balanced[cls[r], :, None]
+        M *= cls == balanced[cls[r], :, None]  # keep the balanced entries, class(y) = class(x) + class(r)
         return M.astype(np.int64)
 
     fusion = FusionTensor(data.labels, slice_of, handle)

@@ -39,6 +39,11 @@ def get_fusion(data):
     return _FUSION_CACHE[key][1]
 
 
+def coeff(fusion, data, i, j, k):
+    """N_{ij}^k by label name, read from slice j."""
+    return int(fusion.slice(data.index(j))[data.index(i), data.index(k)])
+
+
 @pytest.fixture(scope="session")
 def su21():
     return get_family("su", 2, 1)

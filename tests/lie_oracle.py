@@ -1,9 +1,12 @@
 """Closed forms and second routes for the Lie families, kept for the tests.
 
-None of these is read by the library.  :func:`su_s_matrix_oracle` builds
-the special-unitary S-matrix by a float exponential and a determinant
-for every ordered pair of labels, and :func:`su_twist_oracle` its twists
-from the float quadratic form.  :func:`su_mu_tilde` is the exact
+None of these is read by the library.  :func:`parse_young_label` reads a
+diagram back from its label, and :func:`young_dagger` is the
+transpose-complement duality on row tuples: the second route to the
+special-unitary duals, which the library reads from bit sets.
+:func:`su_s_matrix_oracle` builds the special-unitary S-matrix by a float
+exponential and a determinant for every ordered pair of labels, and
+:func:`su_twist_oracle` its twists from the float quadratic form.  :func:`su_mu_tilde` is the exact
 |lambda|/N character of the special-unitary family, :func:`coupon_sign`
 evaluates the duality coupon scalar from its fractional powers of q, and
 :func:`lattice_fundamental_group` presents weight lattice / root lattice,
@@ -20,6 +23,38 @@ import numpy as np
 
 import modfunctor as mf
 from modfunctor.characters import _smith
+
+
+def parse_young_label(text):
+    """Inverse of ``young_label``: the row tuple, positive and weakly decreasing."""
+    text = text.strip()
+    if text == "0":
+        return ()
+    try:
+        rows = tuple(int(p) for p in text.split("."))
+    except ValueError:
+        raise mf.InvalidModularData(f"cannot parse diagram label {text!r}") from None
+    if any(r <= 0 for r in rows):
+        raise mf.InvalidModularData(f"rows must be positive: {rows}")
+    if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
+        raise mf.InvalidModularData(f"rows must be weakly decreasing: {rows}")
+    return rows
+
+
+def young_dagger(N, rows):
+    """Duality on row tuples: complement in the lambda_1 x N box, rows reversed.
+
+    Row r of the result is lambda_1 - lambda_{N+1-r} (missing rows read as 0,
+    zero rows dropped).  Involutive, and size(d) + size(dagger) = N * lambda_1.
+    """
+    if len(rows) >= N:
+        raise mf.InvalidModularData(f"{rows} has too many rows for N={N}")
+    if not rows:
+        return rows
+    top = rows[0]
+    full = list(rows) + [0] * (N - len(rows))
+    out = tuple(top - full[N - 1 - r] for r in range(N))
+    return tuple(r for r in out if r > 0)
 
 
 def su_s_matrix_oracle(N, k):

@@ -15,7 +15,7 @@ from modfunctor.scaling import ScalingPair, SelfDualityData
 from modfunctor.surfaces import Component, MarkedPoint, Surface
 from conftest import builtin_tokens, get_family, get_fusion
 from grading_oracle import is_character, oracle_group
-from lie_oracle import coupon_sign, su_mu_tilde
+from lie_oracle import coupon_sign, parse_young_label, su_mu_tilde
 
 
 def _emit(capsys, tag, ok, detail):
@@ -27,7 +27,7 @@ def _emit(capsys, tag, ok, detail):
 
 def _mu_tilde_character(data, N):
     return mf.GroupCharacter(
-        {lab: su_mu_tilde(N, mf.parse_young_label(lab)) for lab in data.labels}
+        {lab: su_mu_tilde(N, parse_young_label(lab)) for lab in data.labels}
     )
 
 
@@ -180,7 +180,7 @@ def test_ac05_frobenius_schur_pattern(capsys):
                 elif N == 3:
                     want = 1
                 else:
-                    want = (-1) ** sum(mf.parse_young_label(lab))
+                    want = (-1) ** sum(parse_young_label(lab))
                 ok = ok and nu == want
                 checked += 1
     _emit(capsys, "AC5 indicator pattern", ok, f"{checked} labels across 15 families")
@@ -234,7 +234,7 @@ def test_ac08_strict_scaling(capsys):
         data = get_family(*tokens)
         fusion = get_fusion(data)
         sdd = SelfDualityData.defaults(data)
-        found = mf.find_fundamental_symplectic_character(data, fusion)
+        found = mf.find_fundamental_symplectic_character(data, mf.dual_group(data, fusion))
         if not isinstance(found, mf.GroupCharacter):
             ok = False
             continue
@@ -254,7 +254,7 @@ def test_ac08_strict_scaling(capsys):
         if use_mu_tilde:
             chi = _mu_tilde_character(data, 3)
         else:
-            chi = mf.find_fundamental_symplectic_character(data, fusion)
+            chi = mf.find_fundamental_symplectic_character(data, mf.dual_group(data, fusion))
         sp = mf.solve_strict(data, sdd, chi)
         uu = ScalingPair(u=sp.u, w=sp.u)
         for npts in range(5):
@@ -285,7 +285,7 @@ def test_ac09_vanishing_criterion(capsys):
             a = mf.sphere_with_labels(labs)
             if sum((chi(lab) for lab in labs), Fraction(0)) % 1 != 0:
                 hot += 1
-            ok = ok and mf.vanishing_check(data, chi, a, fusion)
+            ok = ok and mf.vanishing_check(data, fusion, chi, a)
             total += 1
     _emit(capsys, "AC9 character-sum vanishing", ok,
           f"{total} spheres exhaustive (<= 4 points), {hot} with nonzero sum")

@@ -23,7 +23,7 @@ from modfunctor.cli import run_command
 from modfunctor.lie import LieData
 from conftest import builtin_tokens, get_family, get_fusion
 from grading_oracle import build_relation_matrix, is_character, oracle_group
-from lie_oracle import su_mu_tilde
+from lie_oracle import parse_young_label, su_mu_tilde
 
 
 def group_of(*tokens):
@@ -137,7 +137,7 @@ def test_trivial_category_group():
     data, pres = group_of("su", 2, 0)
     assert pres.invariant_factors == ()
     assert pres.torsion_order == 1
-    chi = mf.find_fundamental_symplectic_character(data)
+    chi = mf.find_fundamental_symplectic_character(data, pres)
     assert isinstance(chi, GroupCharacter)
     assert chi(data.zero) == 0
 
@@ -174,7 +174,7 @@ def test_is_character(su22, su32):
     zero2 = GroupCharacter({lab: 0 for lab in su22.labels})
     assert is_character(rows2, su22.labels, zero2)
     mu3 = GroupCharacter(
-        {lab: su_mu_tilde(3, mf.parse_young_label(lab)) for lab in su32.labels}
+        {lab: su_mu_tilde(3, parse_young_label(lab)) for lab in su32.labels}
     )
     assert is_character(rows3, su32.labels, mu3)
     bad = GroupCharacter({"0": 0, "1": Fraction(1, 3), "2": 0})
@@ -186,13 +186,13 @@ def test_su2_mu_tilde_is_character():
         data = get_family("su", 2, k)
         rows = oracle_group(data, get_fusion(data))[2]
         chi = GroupCharacter(
-            {lab: su_mu_tilde(2, mf.parse_young_label(lab)) for lab in data.labels}
+            {lab: su_mu_tilde(2, parse_young_label(lab)) for lab in data.labels}
         )
         assert is_character(rows, data.labels, chi)
 
 
 def test_find_su23_symplectic_character(su23):
-    chi = mf.find_fundamental_symplectic_character(su23)
+    chi = mf.find_fundamental_symplectic_character(su23, dual_group(su23, get_fusion(su23)))
     assert isinstance(chi, GroupCharacter)
     assert chi.values == {
         "0": Fraction(0),
@@ -206,13 +206,13 @@ def test_find_su23_symplectic_character(su23):
 
 def test_find_with_no_symplectic_labels_returns_identity(su32, fib):
     for data in (su32, fib):
-        chi = mf.find_fundamental_symplectic_character(data)
+        chi = mf.find_fundamental_symplectic_character(data, dual_group(data, get_fusion(data)))
         assert all(v == 0 for v in chi.values.values())
 
 
 def test_find_d4_level1():
     data = get_family("lie", "D", 4, 1)
-    chi = mf.find_fundamental_symplectic_character(data)
+    chi = mf.find_fundamental_symplectic_character(data, dual_group(data, get_fusion(data)))
     # all four FS indicators are +1, so the lex-min solution is trivial
     assert all(v == 0 for v in chi.values.values())
 
@@ -266,15 +266,15 @@ def test_infeasibility_certificate_over_trivial_group():
 
 def test_vanishing_check(su31):
     mu = GroupCharacter(
-        {lab: su_mu_tilde(3, mf.parse_young_label(lab)) for lab in su31.labels}
+        {lab: su_mu_tilde(3, parse_young_label(lab)) for lab in su31.labels}
     )
     hot = mf.sphere_with_labels(["1", "1"])  # character sum 2/3, dim 0
-    assert mf.vanishing_check(su31, mu, hot)
+    assert mf.vanishing_check(su31, get_fusion(su31), mu, hot)
     cold = mf.sphere_with_labels(["1", "1.1"])  # character sum 0: vacuous
-    assert mf.vanishing_check(su31, mu, cold)
+    assert mf.vanishing_check(su31, get_fusion(su31), mu, cold)
     fake = GroupCharacter({"0": 0, "1": Fraction(1, 3), "1.1": Fraction(1, 3)})
     # sum 2/3 on a surface with a one-dimensional state space
-    assert not mf.vanishing_check(su31, fake, cold)
+    assert not mf.vanishing_check(su31, get_fusion(su31), fake, cold)
 
 
 # ---------------------------------------------------------------------------

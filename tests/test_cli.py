@@ -122,7 +122,7 @@ def test_characters_and_strict_scaling_report_the_certificate(monkeypatch):
     monkeypatch.setattr(mf.characters, "_indicator_targets", lambda data: {"0.0": 0, "0.1": Fraction(1, 2)})
     family = ["lie", "G", "2", "1"]
     data = get_family(*family)
-    found = mf.find_fundamental_symplectic_character(data, pres=mf.dual_group(data, mf.verlinde_fusion(data)))
+    found = mf.find_fundamental_symplectic_character(data, mf.dual_group(data, mf.verlinde_fusion(data)))
     assert isinstance(found, mf.InfeasibilityCertificate)
     code, report = run_command(["--json", "characters", *family])
     assert code == 1
@@ -152,6 +152,23 @@ def test_verify_command():
     assert checks["fusion-integral"] and checks["oracle-equivalence"]
     code, _ = run_command(["verify"])
     assert code == 2
+
+
+def test_verify_refuses_slices_beyond_its_memory_budget(monkeypatch):
+    # su 6 8 (n = 1287) is inside ScaleLimit, but its dense slices would need 17 GB
+    code, report = run_command(["verify", "su", "6", "8"])
+    assert code == 2
+    assert report.machine["error"] == (
+        "verify would hold n = 1287 dense fusion slices of n^2 int64, 17053975224 bytes, "
+        "over its budget of 2147483648 bytes"
+    )
+    # a family whose slices fill the budget exactly is checked; one byte less refuses it
+    data = get_family("su", 2, 2)
+    monkeypatch.setattr(cli, "_VERIFY_SLICE_BUDGET", 8 * 3**3)
+    assert all(cli._verify_family(data).values())
+    monkeypatch.setattr(cli, "_VERIFY_SLICE_BUDGET", 8 * 3**3 - 1)
+    with pytest.raises(mf.ScaleLimit, match="n = 3 dense"):
+        cli._verify_family(data)
 
 
 def test_export_round_trip(tmp_path):

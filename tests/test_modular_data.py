@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import modfunctor as mf
-from conftest import builtin_tokens, get_family, get_fusion
+from conftest import builtin_tokens, coeff, get_family, get_fusion
 
 SQ2 = math.sqrt(2.0)
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -149,11 +149,11 @@ def test_constructor_rejects_non_finite_tol(su22, tol):
 def test_verlinde_fusion_su2_level2(su22):
     fusion = get_fusion(su22)
     # 1 x 1 = 0 + 2,   1 x 2 = 1,   2 x 2 = 0
-    assert fusion.coeff(su22, "1", "1", "0") == 1
-    assert fusion.coeff(su22, "1", "1", "2") == 1
-    assert fusion.coeff(su22, "1", "1", "1") == 0
-    assert fusion.coeff(su22, "1", "2", "1") == 1
-    assert fusion.coeff(su22, "2", "2", "0") == 1
+    assert coeff(fusion, su22, "1", "1", "0") == 1
+    assert coeff(fusion, su22, "1", "1", "2") == 1
+    assert coeff(fusion, su22, "1", "1", "1") == 0
+    assert coeff(fusion, su22, "1", "2", "1") == 1
+    assert coeff(fusion, su22, "2", "2", "0") == 1
     assert fusion.N.sum() == 10  # unit rows 3+3, duality column. all multiplicity one
 
 
@@ -569,9 +569,9 @@ def test_gauss_sum_modulus_matches_global_rank():
 def test_fusion_tensor_coeff_by_label(su23):
     fusion = get_fusion(su23)
     # golden fusion: 1 x 1 = 0 + 2
-    assert fusion.coeff(su23, "1", "1", "0") == 1
-    assert fusion.coeff(su23, "1", "1", "2") == 1
-    assert fusion.coeff(su23, "1", "1", "3") == 0
+    assert coeff(fusion, su23, "1", "1", "0") == 1
+    assert coeff(fusion, su23, "1", "1", "2") == 1
+    assert coeff(fusion, su23, "1", "1", "3") == 0
 
 
 @pytest.mark.parametrize(

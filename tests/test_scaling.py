@@ -10,7 +10,7 @@ import modfunctor as mf
 from modfunctor.scaling import ScalingPair, SelfDualityData
 from modfunctor.surfaces import Component, Surface
 from conftest import get_family, get_fusion
-from lie_oracle import su_mu_tilde
+from lie_oracle import parse_young_label, su_mu_tilde
 
 ROOT2 = float(np.sqrt(2.0))
 EIGHTH = 2.0 ** 0.125  # dim(1)^{1/4} in the three-label family below
@@ -152,7 +152,7 @@ def strict_pair(data, chi_values=None):
     fusion = get_fusion(data)
     sdd = SelfDualityData.defaults(data)
     if chi_values is None:
-        chi = mf.find_fundamental_symplectic_character(data, fusion)
+        chi = mf.find_fundamental_symplectic_character(data, mf.dual_group(data, fusion))
     else:
         chi = mf.GroupCharacter(chi_values)
     return sdd, chi, mf.solve_strict(data, sdd, chi)
@@ -161,7 +161,7 @@ def strict_pair(data, chi_values=None):
 def test_solve_strict_residuals(su23, su32):
     for data in (su23, su32):
         if data is su32:
-            vals = {lab: su_mu_tilde(3, mf.parse_young_label(lab)) for lab in data.labels}
+            vals = {lab: su_mu_tilde(3, parse_young_label(lab)) for lab in data.labels}
         else:
             vals = None
         sdd, chi, sp = strict_pair(data, vals)
@@ -194,7 +194,7 @@ def test_solve_strict_preconditions(su23, su31):
         mf.solve_strict(su31, sdd3, unpaired)
     bad_mu = SelfDualityData.defaults(su23)
     bad_mu.mu["1"] = 1j
-    good = mf.find_fundamental_symplectic_character(su23, fusion)
+    good = mf.find_fundamental_symplectic_character(su23, mf.dual_group(su23, fusion))
     with pytest.raises(mf.InvalidModularData):
         mf.solve_strict(su23, bad_mu, good)
 
@@ -216,7 +216,7 @@ def test_self_duality_scalar(su22, su31):
     one = mf.sphere_with_labels(["1"])
     assert abs(mf.self_duality_scalar(su22, sdd, sp, one) + 1.0) < 1e-14
 
-    vals = {lab: su_mu_tilde(3, mf.parse_young_label(lab)) for lab in su31.labels}
+    vals = {lab: su_mu_tilde(3, parse_young_label(lab)) for lab in su31.labels}
     sdd3, chi3, sp3 = strict_pair(su31, vals)
     allowed = mf.sphere_with_labels(["1", "1.1"])
     assert mf.state_dim(su31, get_fusion(su31), allowed) == 1
@@ -236,7 +236,7 @@ def test_unitary_rho_canonical(su22):
 
 
 def test_unitary_rho_strict(su32):
-    vals = {lab: su_mu_tilde(3, mf.parse_young_label(lab)) for lab in su32.labels}
+    vals = {lab: su_mu_tilde(3, parse_young_label(lab)) for lab in su32.labels}
     sdd, chi, sp = strict_pair(su32, vals)
     uu = ScalingPair(u=sp.u, w=sp.u)
     # per point the scalar is the character phase of the dual label
