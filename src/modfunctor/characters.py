@@ -60,7 +60,9 @@ class GroupCharacter:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "values", {k: Fraction(v) % 1 for k, v in dict(self.values).items()}
+            self,
+            "values",
+            {k: v if type(v) is Fraction and 0 <= v < 1 else Fraction(v) % 1 for k, v in dict(self.values).items()},
         )
 
     def __call__(self, label):
@@ -261,26 +263,27 @@ def dual_group(data, fusion):
     return DualGroupPresentation(labels=data.labels, invariant_factors=factors, label_image=image)
 
 
-def _character_from_coords(pres, coords):
-    """The character sum_j c_j v_j / d_j mod 1, summed in integers over the exponent."""
+def _character_values(pres, coords):
+    """(e, values): the characters sum_j c_j v_j / d_j mod 1 of the coordinate rows, as integers over e.
+
+    e = lcm(d_j) is the exponent of the group; values[t, i] is e times the
+    value of the character of row t of `coords` on label i.
+    """
     exponent = math.lcm(*pres.invariant_factors)
-    weights = [c * (exponent // d) for c, d in zip(coords, pres.invariant_factors)]
-    return GroupCharacter(
-        {
-            lab: Fraction(sum(w * v for w, v in zip(weights, pres.label_image[lab])) % exponent, exponent)
-            for lab in pres.labels
-        }
-    )
+    weights = coords * np.array([exponent // d for d in pres.invariant_factors], dtype=np.int64)
+    image = np.array([pres.label_image[lab] for lab in pres.labels], dtype=np.int64)  # (n, 0) on G = {0}
+    return exponent, weights @ image.T % exponent
+
+
+def _character(pres, exponent, values):
+    """The character with integer values over `exponent`, in label order."""
+    return GroupCharacter({lab: Fraction(v, exponent) for lab, v in zip(pres.labels, values)})
 
 
 def generator_characters(pres):
     """One character per invariant factor: the charge of basis element g_j of G."""
-    out = []
-    for j, d in enumerate(pres.invariant_factors):
-        coords = [0] * len(pres.invariant_factors)
-        coords[j] = 1
-        out.append(_character_from_coords(pres, coords))
-    return out
+    exponent, values = _character_values(pres, np.eye(len(pres.invariant_factors), dtype=np.int64))
+    return [_character(pres, exponent, row) for row in values.tolist()]
 
 
 def _indicator_targets(data):
@@ -295,23 +298,27 @@ def _indicator_targets(data):
 def find_fundamental_symplectic_character(data, pres):
     """Character that is -1 exactly on symplectic labels, or a certificate.
 
-    `pres` is :func:`dual_group` of `data`.  Enumerates the (small)
-    character group of the torsion part, keeps the solutions and returns
-    the one whose value tuple in label order is lexicographically smallest;
-    with no symplectic labels this is the identity.  When no character
-    fits, an :class:`InfeasibilityCertificate` is constructed from the
-    kernel lattice of the constraint map and verified before being
-    returned.
+    `pres` is :func:`dual_group` of `data`.  Takes the values of every
+    character of the (small) torsion part in one integer product over the
+    exponent, keeps the solutions and returns the one whose value tuple in
+    label order is lexicographically smallest; with no symplectic labels
+    this is the identity.  When no character fits, an
+    :class:`InfeasibilityCertificate` is constructed from the kernel lattice
+    of the constraint map and verified before being returned.
     """
     if pres.torsion_order > _ENUM_CAP:
         raise ScaleLimit(f"character enumeration over order {pres.torsion_order} exceeds cap")
     targets = _indicator_targets(data)
-    every = product(*[range(d) for d in pres.invariant_factors])
-    candidates = (_character_from_coords(pres, coords) for coords in every)
-    solutions = (chi for chi in candidates if all(chi(lab) == want for lab, want in targets.items()))
-    best = min(solutions, key=lambda chi: [chi(lab) for lab in pres.labels], default=None)
-    if best is not None:
-        return best
+    coords = np.indices(pres.invariant_factors).reshape(len(pres.invariant_factors), pres.torsion_order).T
+    exponent, values = _character_values(pres, coords)
+    # a value v over the exponent e meets the target p/q exactly when v q = p e
+    want = [Fraction(t) for t in targets.values()]
+    cols = [data.index(lab) for lab in targets]
+    q = np.array([t.denominator for t in want], dtype=np.int64)
+    p = np.array([t.numerator for t in want], dtype=np.int64)
+    fits = values[(values[:, cols] * q == p * exponent).all(axis=1)]
+    if len(fits):
+        return _character(pres, exponent, min(map(tuple, fits.tolist())))
     return _build_certificate(pres, targets)
 
 

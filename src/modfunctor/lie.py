@@ -48,7 +48,7 @@ __all__ = [
 _SU_MAX_N = 6
 _SU_MAX_K = 8
 _LIE_TERM_CAP = 10**7
-_FILL_BLOCK = 1 << 13  # entries per row block of the su S fill from its representatives
+_FILL_BLOCK = 1 << 13  # entries per block: rows of the su S fill, or Weyl elements of the Lie sum
 
 
 # ---------------------------------------------------------------------------
@@ -311,35 +311,32 @@ def _cartan_matrix(cartan_type, rank):
 
 
 def _enumerate_weyl(A):
-    """All Weyl elements as integer matrices on weight coordinates, with signs.
+    """All Weyl elements as one (|W|, r, r) int64 stack on weight coordinates, and their signs.
 
     The simple reflection s_i acts by x -> x - x_i * alpha_i where alpha_i is
-    column i of the Cartan matrix; closure under left multiplication
-    enumerates the whole group.
+    column i of the Cartan matrix.  The walk is breadth first, one word
+    length at a time: every generator times every element of the frontier
+    in one product, in (frontier, generator) order, keeping the products not
+    seen before.  An element first seen at length l has sign (-1)^l.
     """
     rank = A.shape[0]
-    gens = []
-    for i in range(rank):
-        M = np.eye(rank, dtype=np.int64)
-        M[:, i] -= A[:, i]
-        gens.append(M)
     eye = np.eye(rank, dtype=np.int64)
-    seen = {eye.tobytes(): None}
-    elements = [(eye, 1)]
-    frontier = [(eye, 1)]
-    while frontier:
-        nxt = []
-        for M, sgn in frontier:
-            for g in gens:
-                M2 = g @ M
-                key = M2.tobytes()
-                if key not in seen:
-                    seen[key] = None
-                    item = (M2, -sgn)
-                    elements.append(item)
-                    nxt.append(item)
-        frontier = nxt
-    return elements
+    gens = eye - A.T[:, :, None] * eye[:, None, :]  # s_i = 1 - alpha_i e_i^T
+    frontier = eye[None]
+    seen = {eye.tobytes()}
+    layers = [frontier]
+    while len(frontier):
+        products = np.matmul(gens[None], frontier[:, None]).reshape(-1, rank, rank)
+        fresh = []
+        for a, M in enumerate(products):
+            key = M.tobytes()
+            if key not in seen:
+                seen.add(key)
+                fresh.append(a)
+        frontier = products[fresh]
+        layers.append(frontier)
+    signs = np.concatenate([np.full(len(layer), (-1) ** length) for length, layer in enumerate(layers)])
+    return np.concatenate(layers), signs
 
 
 class LieData:
@@ -355,8 +352,9 @@ class LieData:
     form : (r, r) float matrix of <omega_i, omega_j>; weights are always
         written in fundamental-weight (Dynkin label) coordinates.
     rho : the all-ones weight.
-    weyl : list of (matrix, sign) pairs covering the whole group.
-    longest : matrix of the longest element.
+    weyl : (|W|, r, r) int64 stack of the whole group, by word length.
+    weyl_signs : (|W|,) int64 signs det(w) = +-1 of those elements.
+    longest : matrix of the longest element, the one sending rho to -rho.
     comarks : expansion of the highest root's coroot over simple coroots;
         dual_coxeter = 1 + sum(comarks).
     """
@@ -377,14 +375,12 @@ class LieData:
         self.form = np.diag(dv) @ np.linalg.inv(self.cartan)
         self.rho = np.ones(rank)
         expected = _CLASSICAL_WEYL_ORDER[cartan_type](rank)
-        self.weyl = _enumerate_weyl(self.cartan)
+        self.weyl, self.weyl_signs = _enumerate_weyl(self.cartan)
         if len(self.weyl) != expected:
             raise InvalidModularData(
                 f"enumerated {len(self.weyl)} Weyl elements, classical order is {expected}"
             )
-        self.longest = next(
-            M for M, _ in self.weyl if np.array_equal(M @ np.ones(rank, dtype=np.int64), -np.ones(rank, dtype=np.int64))
-        )
+        self.longest = self.weyl[(self.weyl.sum(axis=2) == -1).all(axis=1).argmax()]  # w(rho) = -rho
         self.comarks = self._highest_root_comarks()
         self.dual_coxeter = 1 + sum(self.comarks)
         if self.dual_coxeter.denominator != 1:
@@ -392,20 +388,12 @@ class LieData:
         self.dual_coxeter = int(self.dual_coxeter)
 
     def _highest_root_comarks(self):
-        roots = set()
-        for M, _ in self.weyl:
-            for i in range(self.rank):
-                roots.add(tuple((M @ self.cartan[:, i]).tolist()))
-        inv = np.linalg.inv(self.cartan)
-        best = None
-        for rt in roots:
-            coeff = inv @ np.array(rt, dtype=float)
-            ints = np.rint(coeff)
-            if np.max(np.abs(coeff - ints)) > 1e-9 or np.min(ints) < 0:
-                continue
-            if best is None or ints.sum() > best.sum():
-                best = ints
-        marks = tuple(int(x) for x in best)
+        # every root is w(alpha_i); the highest is the positive one of largest height
+        roots = (self.weyl @ self.cartan).transpose(0, 2, 1).reshape(-1, self.rank)
+        coeff = roots @ np.linalg.inv(self.cartan).T
+        ints = np.rint(coeff)
+        ints = ints[(np.abs(coeff - ints) <= 1e-9).all(axis=1) & (ints >= 0).all(axis=1)]
+        marks = ints[ints.sum(axis=1).argmax()].astype(int).tolist()
         return tuple(m * d for m, d in zip(marks, self.symmetrizers))
 
     def inner(self, x, y):
@@ -453,7 +441,10 @@ def simple_lie_modular_data(ld, tol=DEFAULT_TOL):
     """Modular data of a simple type at its level, summed over the Weyl group.
 
     Limited to |W| * |labels|^2 <= 1e7 terms (and, by :class:`LieData`, to
-    rank <= 4); raises :class:`ScaleLimit` beyond that.
+    rank <= 4); raises :class:`ScaleLimit` beyond that.  The sum runs over
+    chunks of Weyl elements of at most `_FILL_BLOCK` terms each (one element
+    per chunk once n^2 passes it), added in Weyl order, so memory stays a
+    few n x n arrays.
     """
     weights = alcove_weights(ld)
     n = len(weights)
@@ -462,9 +453,16 @@ def simple_lie_modular_data(ld, tol=DEFAULT_TOL):
     kappa = ld.level + ld.dual_coxeter
     X = np.array([np.array(w, dtype=float) + ld.rho for w in weights])
     raw = np.zeros((n, n), dtype=complex)
-    for M, sgn in ld.weyl:
-        Q = (X @ M.T @ ld.form) @ X.T
-        raw += sgn * np.exp((-2j * np.pi / kappa) * Q)
+    step = max(1, _FILL_BLOCK // (n * n))  # Weyl elements per chunk
+    for w0 in range(0, len(ld.weyl), step):
+        Q = (X @ ld.weyl[w0 : w0 + step].transpose(0, 2, 1) @ ld.form) @ X.T  # Q[w] = X w^T form X^T
+        terms = (-2j * np.pi / kappa) * Q
+        np.exp(terms, out=terms)
+        terms *= ld.weyl_signs[w0 : w0 + step, None, None]
+        terms[0] += raw
+        # one term after another in Weyl order: read as float pairs, the Weyl
+        # axis is never the inner loop, along which a reduce pairs terms up
+        np.add.reduce(terms.view(float), axis=0, out=raw.view(float))
     S = _normalize_s(raw)
 
     names = [weight_label(w) for w in weights]

@@ -9,8 +9,15 @@ matrix whose rows are the fusion-supported triples and the dual pairs,
 and its invariant factors come from a Smith form.  The relation matrix
 has one row per nonzero fusion coefficient, so this route is only for
 the small built-in families.
+
+:func:`symplectic_character_oracle` is the element-at-a-time search that
+``find_fundamental_symplectic_character`` replaces with one integer
+product over the whole character group: one Fraction-valued character per
+group element, each tested against every target.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -98,3 +105,26 @@ def is_character(rows, labels, chi):
         if total % 1 != 0:
             return False
     return True
+
+
+def symplectic_character_oracle(pres, targets):
+    """Values of the lexicographically least character meeting `targets`, or None.
+
+    The character of coordinates c takes sum_j c_j v_j / d_j mod 1 on a
+    label of image v; it is built as Fractions for every c, tested exactly
+    against every target, and compared by its value tuple in label order.
+    """
+    factors = pres.invariant_factors
+    exponent = math.lcm(*factors)
+    best = None
+    for coords in itertools.product(*[range(d) for d in factors]):
+        weights = [c * (exponent // d) for c, d in zip(coords, factors)]
+        chi = {
+            lab: Fraction(sum(w * v for w, v in zip(weights, pres.label_image[lab])) % exponent, exponent)
+            for lab in pres.labels
+        }
+        if not all(chi[lab] == want for lab, want in targets.items()):
+            continue
+        if best is None or [chi[lab] for lab in pres.labels] < [best[lab] for lab in pres.labels]:
+            best = chi
+    return best

@@ -11,7 +11,12 @@ exponential and a determinant for every ordered pair of labels, and
 evaluates the duality coupon scalar from its fractional powers of q, and
 :func:`lattice_fundamental_group` presents weight lattice / root lattice,
 the grading group of every built-in Lie family, as the cokernel of the
-Cartan matrix.
+Cartan matrix.  :func:`weyl_oracle`, :func:`highest_root_comarks_oracle`
+and :func:`lie_weyl_sum_oracle` are the element-at-a-time routes that
+``LieData`` and ``simple_lie_modular_data`` replace with whole-group array
+steps: the breadth-first walk one product at a time, the highest root
+from the set of roots one root at a time, and the Weyl sum one element at
+a time.
 """
 
 import cmath
@@ -22,6 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 import modfunctor as mf
+from modfunctor import lie
 from modfunctor.characters import _smith
 
 
@@ -164,3 +170,78 @@ def lattice_fundamental_group(cartan):
     factors = tuple(invs[i] for i in kept)
     rows = tuple(tuple(int(left[i, j]) for j in range(rank)) for i in kept)
     return LatticeGroup(invariant_factors=factors, _transform=rows)
+
+
+def weyl_oracle(A):
+    """All Weyl elements as (matrix, sign) pairs, one product at a time.
+
+    Breadth first by left multiplication with the simple reflections
+    x -> x - x_i alpha_i (alpha_i column i of the Cartan matrix A): each
+    element of the frontier times each generator in turn, a product not
+    seen before joins the group with the opposite sign.
+    """
+    rank = A.shape[0]
+    gens = []
+    for i in range(rank):
+        M = np.eye(rank, dtype=np.int64)
+        M[:, i] -= A[:, i]
+        gens.append(M)
+    eye = np.eye(rank, dtype=np.int64)
+    seen = {eye.tobytes()}
+    elements = [(eye, 1)]
+    frontier = [(eye, 1)]
+    while frontier:
+        nxt = []
+        for M, sgn in frontier:
+            for g in gens:
+                M2 = g @ M
+                key = M2.tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    item = (M2, -sgn)
+                    elements.append(item)
+                    nxt.append(item)
+        frontier = nxt
+    return elements
+
+
+def highest_root_comarks_oracle(cartan, symmetrizers):
+    """(comarks, dual Coxeter number) from the set of roots w(alpha_i), one root at a time."""
+    rank = cartan.shape[0]
+    roots = set()
+    for M, _ in weyl_oracle(cartan):
+        for i in range(rank):
+            roots.add(tuple((M @ cartan[:, i]).tolist()))
+    inv = np.linalg.inv(cartan)
+    best = None
+    for rt in roots:
+        coeff = inv @ np.array(rt, dtype=float)
+        ints = np.rint(coeff)
+        if np.max(np.abs(coeff - ints)) > 1e-9 or np.min(ints) < 0:
+            continue
+        if best is None or ints.sum() > best.sum():
+            best = ints
+    comarks = tuple(int(m) * d for m, d in zip(best, symmetrizers))
+    return comarks, int(1 + sum(comarks))
+
+
+def lie_weyl_sum_oracle(ld):
+    """(S, theta) of ``simple_lie_modular_data``, summed one Weyl element at a time.
+
+    The elements and signs come from :func:`weyl_oracle`, in its order, and
+    the raw sum is scaled by the library's ``_normalize_s``, so S agrees bit
+    for bit when the library adds the same terms in the same order.
+    """
+    weights = lie.alcove_weights(ld)
+    n = len(weights)
+    kappa = ld.level + ld.dual_coxeter
+    X = np.array([np.array(w, dtype=float) + ld.rho for w in weights])
+    raw = np.zeros((n, n), dtype=complex)
+    for M, sgn in weyl_oracle(ld.cartan):
+        Q = (X @ M.T @ ld.form) @ X.T
+        raw += sgn * np.exp((-2j * np.pi / kappa) * Q)
+    theta = {}
+    for w in weights:
+        v = np.array(w, dtype=float)
+        theta[lie.weight_label(w)] = cmath.exp(1j * math.pi * ld.inner(v, v + 2 * ld.rho) / kappa)
+    return lie._normalize_s(raw), theta

@@ -22,7 +22,7 @@ from modfunctor.characters import (
 from modfunctor.cli import run_command
 from modfunctor.lie import LieData
 from conftest import builtin_tokens, get_family, get_fusion
-from grading_oracle import build_relation_matrix, is_character, oracle_group
+from grading_oracle import build_relation_matrix, is_character, oracle_group, symplectic_character_oracle
 from lie_oracle import parse_young_label, su_mu_tilde
 
 
@@ -215,6 +215,61 @@ def test_find_d4_level1():
     chi = mf.find_fundamental_symplectic_character(data, dual_group(data, get_fusion(data)))
     # all four FS indicators are +1, so the lex-min solution is trivial
     assert all(v == 0 for v in chi.values.values())
+
+
+# the families of the grading benchmark that are not built-ins
+GRADING = [("su", 3, 6), ("su", 4, 4), ("su", 5, 3), ("su", 4, 5), ("su", 4, 6)]
+
+
+@pytest.mark.parametrize("tokens", builtin_tokens() + GRADING, ids=lambda t: " ".join(map(str, t)))
+def test_symplectic_character_matches_the_enumeration_oracle(tokens):
+    data, pres = group_of(*tokens)
+    want = symplectic_character_oracle(pres, characters._indicator_targets(data))
+    with mock.patch.object(characters, "GroupCharacter", side_effect=GroupCharacter) as made:
+        found = mf.find_fundamental_symplectic_character(data, pres)
+    assert made.call_count == 1  # the winner alone is built
+    assert found.values == want
+    assert all(type(v) is Fraction and type(v.numerator) is int for v in found.values.values())
+
+
+def _set_targets(case):
+    """(data, presentation, targets) of one named case of set symplectic targets."""
+    if case == "G 2 1 half":  # exponent 1: a half meets no value
+        data, pres = group_of("lie", "G", 2, 1)
+        return data, pres, {"0.0": 0, "0.1": Fraction(1, 2)}
+    data, pres = group_of("lie", "D", 4, 2)  # the two-factor group (2, 2)
+    one = next(lab for lab in data.labels if pres.label_image[lab] == (1, 0))
+    gens = mf.generator_characters(pres)
+    targets = {
+        # every label: exactly the sum of the two generator characters
+        "D 4 2 both": {lab: sum(chi(lab) for chi in gens) % 1 for lab in data.labels},
+        # one label only: two characters fit each of 0 and 1/2, the least is taken
+        "D 4 2 zero": {one: Fraction(0)},
+        "D 4 2 half": {one: Fraction(1, 2)},
+        "D 4 2 third": {one: Fraction(1, 3)},  # no character takes a third: the certificate
+    }
+    return data, pres, targets[case]
+
+
+@pytest.mark.parametrize("case", ["G 2 1 half", "D 4 2 both", "D 4 2 zero", "D 4 2 half", "D 4 2 third"])
+def test_symplectic_search_on_set_targets_matches_the_oracle(monkeypatch, case):
+    data, pres, targets = _set_targets(case)
+    monkeypatch.setattr(characters, "_indicator_targets", lambda data: targets)
+    want = symplectic_character_oracle(pres, targets)
+    found = mf.find_fundamental_symplectic_character(data, pres)
+    if want is None:
+        assert case in ("G 2 1 half", "D 4 2 third")
+        assert found == _build_certificate(pres, targets)
+    else:
+        assert found.values == want
+
+
+def test_group_character_normalizes_each_value_once():
+    third = Fraction(1, 3)
+    chi = GroupCharacter({"a": Fraction(-1, 3), "b": Fraction(5, 2), "c": 3, "d": third, "e": Fraction(1)})
+    assert chi.values == {"a": Fraction(2, 3), "b": Fraction(1, 2), "c": 0, "d": third, "e": 0}
+    assert all(type(v) is Fraction for v in chi.values.values())
+    assert chi("d") is third  # already in [0, 1): kept as given
 
 
 def test_invariant_factors_stable_under_relabeling(su31):

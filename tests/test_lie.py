@@ -17,16 +17,19 @@ import pytest
 import modfunctor as mf
 from modfunctor import lie
 from modfunctor.cli import run_command
-from modfunctor.families import BUILTIN_SU
+from modfunctor.families import BUILTIN_LIE, BUILTIN_SU
 from modfunctor.lie import LieData, alcove_weights, weight_label
 from conftest import coeff, get_family, get_fusion
 from lie_oracle import (
     coupon_sign,
+    highest_root_comarks_oracle,
     lattice_fundamental_group,
+    lie_weyl_sum_oracle,
     parse_young_label,
     su_mu_tilde,
     su_s_matrix_oracle,
     su_twist_oracle,
+    weyl_oracle,
     young_dagger,
 )
 
@@ -216,6 +219,49 @@ def test_weyl_group_orders():
     assert len(LieData("D", 4, 1).weyl) == 192
     assert len(LieData("G", 2, 1).weyl) == 12
     assert len(LieData("F", 4, 1).weyl) == 1152
+
+
+# the 18 built-ins, eleven larger families up to |W| = 1152 and n = 84, and two
+# one-label families, on which a reduce over the Weyl chunk would pair the terms
+ORACLE_LIE = list(BUILTIN_LIE) + [
+    ("A", 4, 1), ("B", 4, 1), ("C", 4, 1), ("D", 4, 1), ("D", 4, 2), ("F", 4, 1),
+    ("F", 4, 2), ("C", 4, 4), ("B", 4, 2), ("C", 3, 6), ("G", 2, 20), ("D", 4, 0), ("F", 4, 0),
+]
+
+
+@pytest.mark.parametrize("family", ORACLE_LIE, ids=lambda f: " ".join(map(str, f)))
+def test_lie_data_and_weyl_sum_match_the_element_at_a_time_oracles(family):
+    ld = LieData(*family)
+    want = weyl_oracle(ld.cartan)
+    assert ld.weyl.dtype == np.int64 and ld.weyl.shape == (len(want), ld.rank, ld.rank)
+    assert np.array_equal(ld.weyl, np.array([M for M, _ in want]))  # the same elements in the same order
+    assert ld.weyl_signs.tolist() == [sgn for _, sgn in want]
+    ones = np.ones(ld.rank, dtype=np.int64)
+    assert np.array_equal(ld.longest, next(M for M, _ in want if np.array_equal(M @ ones, -ones)))
+    assert (ld.comarks, ld.dual_coxeter) == highest_root_comarks_oracle(ld.cartan, ld.symmetrizers)
+    data = lie.simple_lie_modular_data(ld)
+    S, theta = lie_weyl_sum_oracle(ld)
+    assert np.array_equal(data.S.view(np.int64), S.view(np.int64))  # bit for bit: signed zeros count
+    assert data.theta == theta
+
+
+@pytest.mark.parametrize("family", [("F", 4, 8), ("B", 3, 15)], ids=lambda f: " ".join(map(str, f)))
+def test_weyl_sum_peak_memory(family):
+    lie.simple_lie_modular_data(LieData("G", 2, 1))  # first-call allocations of numpy and the label code
+    ld = LieData(*family)
+    tracemalloc.start()
+    try:
+        data = lie.simple_lie_modular_data(ld)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = data.n
+    assert len(ld.weyl) * n**2 <= lie._LIE_TERM_CAP  # both sit inside the Weyl-sum cap
+    # the running sum, one chunk's Q and terms, the last chunk's terms and a
+    # cast buffer: a few n x n complex arrays (4.6 and 3.6 times 16 n^2 when
+    # chunked); one (|W|, n, n) stack of terms alone would be |W| = 1152 and
+    # 48 times 16 n^2
+    assert peak <= 8 * 16 * n**2
 
 
 def test_dual_coxeter_numbers():
