@@ -60,9 +60,7 @@ class GroupCharacter:
 
     def __post_init__(self):
         object.__setattr__(
-            self,
-            "values",
-            {k: v if type(v) is Fraction and 0 <= v < 1 else Fraction(v) % 1 for k, v in dict(self.values).items()},
+            self, "values", {k: Fraction(v) % 1 for k, v in dict(self.values).items()}
         )
 
     def __call__(self, label):

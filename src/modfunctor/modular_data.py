@@ -707,7 +707,7 @@ def verlinde_fusion(data, atol=None):
     # each summed over the columns of that class only
     by_class = cls.argsort(kind="stable")  # labels by class
     starts = cls[by_class].searchsorted(np.arange(C + 1)).tolist()
-    columns = SctR[:, by_class] if C > 1 else SctR  # by_class is the identity when C = 1
+    columns = SctR[:, by_class]
     cls_r = cls[reps]
     nr = len(reps)
     rows_per = max(1, min(n, _BLOCK // max(nr, *(b - a for a, b in zip(starts, starts[1:])))))
