@@ -55,7 +55,6 @@ from .modular_data import (
 )
 from .scaling import (
     ScalingPair,
-    SelfDualityData,
     distinct_component_factor,
     mu_scaled,
     pair_key,

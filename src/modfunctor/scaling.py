@@ -6,7 +6,12 @@ each be rescaled label by label.  A :class:`ScalingPair` holds the two
 families of nonzero scalars involved — `u` rescaling the gluing/duality
 copairings and `w` rescaling the pairings — together with the square-root
 branch chosen once per dual pair of labels, so every formula that
-involves sqrt(u_i u_{i*}) or sqrt(w_i w_{i*}) is evaluated consistently.
+involves sqrt(u_i u_{i*}) is evaluated consistently, and the self-duality
+sign mu(i) of each label.
+
+The sign is not a choice: mu(i) is the Frobenius-Schur indicator of a
+self-dual label (-1 on symplectic labels, +1 on orthogonal ones) and +1
+on the others, read once from :func:`fs_indicators` by each solver.
 
 Two solvers are provided.  :func:`solve_canonical` solves
 u_i = s_i^{u,w} w_i with w = 1, giving u_i = dim(i)^{1/4} and a
@@ -26,7 +31,6 @@ from .modular_data import InvalidModularData, fs_indicators, global_D, quantum_d
 
 __all__ = [
     "ScalingPair",
-    "SelfDualityData",
     "pair_key",
     "s_factor",
     "pairing_normalization",
@@ -51,43 +55,32 @@ def pair_key(data, i):
 
 
 @dataclass
-class SelfDualityData:
-    """Base self-duality signs mu(i) and duality-loop scalars lambda(i).
-
-    Defaults: mu is the self-duality indicator on self-dual labels and +1
-    on non-self-dual ones; lambda is identically 1.
-    """
-
-    mu: dict
-    lam: dict
-
-    @classmethod
-    def defaults(cls, data):
-        mu = {lab: complex(nu) if nu != 0 else 1.0 + 0j for lab, nu in fs_indicators(data).items()}
-        return cls(mu=mu, lam={lab: 1.0 + 0j for lab in data.labels})
-
-
-@dataclass
 class ScalingPair:
-    """Scalars (u, w) per label plus square-root branches per dual pair.
+    """Scalars (u, w) per label, square-root branches per dual pair, and mu.
 
-    `sqrt_uu` and `sqrt_ww`, keyed by :func:`pair_key`, hold the values
-    chosen for sqrt(u_i u_{i*}) and sqrt(w_i w_{i*}).  Every constructor
-    fills them with the branches its construction relies on, and
-    :func:`s_factor` only reads them.  A pair built from (u, w) alone
-    serves every function that does not read the roots.
+    `sqrt_uu`, keyed by :func:`pair_key`, holds the value chosen for
+    sqrt(u_i u_{i*}).  Every constructor keeps w_i w_{i*} = 1 and takes 1
+    as its root, so :func:`s_factor` reads sqrt(w_i w_{i*}) as 1.  `mu`
+    holds the self-duality sign of every label; both solvers fill it from
+    the indicators, :meth:`ones` leaves it empty.  A pair built from
+    (u, w) alone serves every function that reads neither the roots nor mu.
     """
 
     u: dict
     w: dict
     sqrt_uu: dict = field(default_factory=dict)
-    sqrt_ww: dict = field(default_factory=dict)
+    mu: dict = field(default_factory=dict)
 
     @classmethod
     def ones(cls, data):
         one = {lab: 1.0 + 0j for lab in data.labels}
         roots = {pair_key(data, lab): 1.0 + 0j for lab, _ in _dual_pairs(data)}
-        return cls(u=dict(one), w=dict(one), sqrt_uu=dict(roots), sqrt_ww=dict(roots))
+        return cls(u=dict(one), w=dict(one), sqrt_uu=roots)
+
+
+def _self_duality_signs(data):
+    """mu(i): the indicator -1 on symplectic labels, +1 on every other label."""
+    return {lab: -1.0 + 0j if nu == -1 else 1.0 + 0j for lab, nu in fs_indicators(data).items()}
 
 
 def _dual_pairs(data):
@@ -102,9 +95,8 @@ def _sqrt_dim(data, i):
 
 
 def s_factor(data, sp, i):
-    """The per-label scale sqrt(w_i w_{i*}) sqrt(dim i) / sqrt(u_i u_{i*})."""
-    key = pair_key(data, i)
-    return sp.sqrt_ww[key] * _sqrt_dim(data, i) / sp.sqrt_uu[key]
+    """The per-label scale sqrt(w_i w_{i*}) sqrt(dim i) / sqrt(u_i u_{i*}), where sqrt(w_i w_{i*}) = 1."""
+    return _sqrt_dim(data, i) / sp.sqrt_uu[pair_key(data, i)]
 
 
 def pairing_normalization(data, sp, a):
@@ -152,27 +144,23 @@ def distinct_component_factor(data, sp, i):
     return sp.u[i] * sp.u[j] / (sp.w[i] * sp.w[j]) / quantum_dim(data, i)
 
 
-def mu_scaled(data, sdd, sp, i):
+def mu_scaled(data, sp, i):
     """Self-duality sign after scaling: (w_i / w_{i*}) mu(i)."""
-    return sp.w[i] / sp.w[data.dual[i]] * sdd.mu[i]
+    return sp.w[i] / sp.w[data.dual[i]] * sp.mu[i]
 
 
-def solve_canonical(data, sdd):
+def solve_canonical(data):
     """Star-invariant solution of u_i = s_i^{u,w} w_i with w = 1.
 
-    Requires mu(i) = 1 on non-self-dual labels.  Returns the pair with
-    u_i = dim(i)^{1/4} (principal fourth root) and the pair roots
-    filled so the defining equation holds to machine precision.
+    Returns the pair with u_i = dim(i)^{1/4} (principal fourth root), the
+    pair roots filled so the defining equation holds to machine
+    precision, and mu read from the indicators.
     """
-    for i, lab in enumerate(data.labels):
-        if data.dual_index(i) != i and abs(sdd.mu[lab] - 1) > data.tol:
-            raise InvalidModularData(f"canonical solution needs mu({lab!r}) = 1 on non-self-dual labels")
     u = {lab: cmath.sqrt(_sqrt_dim(data, lab)) for lab in data.labels}
     w = {lab: 1.0 + 0j for lab in data.labels}
-    keys = [pair_key(data, lab) for lab, _ in _dual_pairs(data)]
-    # dim is dual-symmetric, so u is star-invariant and u_i is the pair root
-    suu = {key: u[key[0]] for key in keys}
-    return ScalingPair(u=u, w=w, sqrt_uu=suu, sqrt_ww=dict.fromkeys(keys, 1.0 + 0j))
+    # dim is dual-symmetric, so u is star-invariant and u at the key's first label is the pair root
+    suu = {pair_key(data, lab): u[min(lab, other)] for lab, other in _dual_pairs(data)}
+    return ScalingPair(u=u, w=w, sqrt_uu=suu, mu=_self_duality_signs(data))
 
 
 def _half_phase(frac):
@@ -180,7 +168,7 @@ def _half_phase(frac):
     return cmath.exp(1j * cmath.pi * frac.numerator / frac.denominator)
 
 
-def solve_strict(data, sdd, chi):
+def solve_strict(data, chi):
     """Scaling pair built from a fundamental symplectic character.
 
     `chi` must take 1/2 exactly on the labels with mu = -1 and 0 on the
@@ -193,27 +181,18 @@ def solve_strict(data, sdd, chi):
     of every label is exactly the character phase, so label tuples with a
     nonzero state space multiply to +1.
     """
+    mu = _self_duality_signs(data)
     vals = {lab: Fraction(chi(lab)) % 1 for lab in data.labels}
-    for i, lab in enumerate(data.labels):
-        j = data.dual_index(i)
-        other = data.labels[j]
+    for lab in data.labels:
+        other = data.dual[lab]
         if (vals[lab] + vals[other]) % 1 != 0:
             raise InvalidModularData(f"chi({lab!r}) + chi(dual) nonzero; not a pairing character")
-        if j == i:
-            want = Fraction(1, 2) if abs(sdd.mu[lab] + 1) <= data.tol else Fraction(0)
-            if abs(sdd.mu[lab] - 1) > data.tol and abs(sdd.mu[lab] + 1) > data.tol:
-                raise InvalidModularData(f"mu({lab!r}) must be +1 or -1 on self-dual labels")
-            if vals[lab] != want:
-                raise InvalidModularData(
-                    f"chi({lab!r}) = {vals[lab]} does not match the self-duality sign"
-                )
-        elif abs(sdd.mu[lab] - 1) > data.tol:
-            raise InvalidModularData(f"strict solution needs mu({lab!r}) = 1 off the self-dual part")
+        if other == lab and vals[lab] != (Fraction(1, 2) if mu[lab] == -1 else 0):
+            raise InvalidModularData(f"chi({lab!r}) = {vals[lab]} does not match the self-duality sign")
 
-    u, w, suu, sww = {}, {}, {}, {}
+    u, w, suu = {}, {}, {}
     for lab, other in _dual_pairs(data):
         key = pair_key(data, lab)
-        sww[key] = 1.0 + 0j
         if lab == other:
             # eta = sqrt(chi-phase) * sqrt(mu) with sqrt(mu) = 1/r -> w = 1
             w[lab] = 1.0 + 0j
@@ -225,42 +204,37 @@ def solve_strict(data, sdd, chi):
         u[lab] = cmath.sqrt(_sqrt_dim(data, lab) * w[lab] / w[other])
         u[other] = u[lab] * w[other] ** 2
         suu[key] = u[key[0]] * w[key[1]]
-    return ScalingPair(u=u, w=w, sqrt_uu=suu, sqrt_ww=sww)
+    return ScalingPair(u=u, w=w, sqrt_uu=suu, mu=mu)
 
 
-def symplectic_multiplicity(data, sdd, a):
-    """Number of marked points whose label is self-dual with mu = -1."""
-    count = 0
-    for lab in a.labels():
-        if data.dual[lab] == lab and abs(sdd.mu[lab] + 1) <= data.tol:
-            count += 1
-    return count
+def symplectic_multiplicity(data, sp, a):
+    """Number of marked points whose label is symplectic, i.e. has mu = -1."""
+    return sum(sp.mu[lab] == -1 for lab in a.labels())
 
 
-def self_duality_scalar(data, sdd, sp, a):
+def self_duality_scalar(data, sp, a):
     """Product of scaled self-duality signs over all marked points."""
     out = 1.0 + 0j
     for lab in a.labels():
-        out *= mu_scaled(data, sdd, sp, lab)
+        out *= mu_scaled(data, sp, lab)
     return out
 
 
-def unitary_rho(data, sdd, sp, a):
-    """Hermitian-compatibility scalar prod_l r_l r_{l*} / (sigma_l w_l conj(w_{l*})).
+def unitary_rho(data, sp, a):
+    """Hermitian-compatibility scalar prod_l r_l r_{l*} / (mu(l) w_l conj(w_{l*})).
 
-    Here r_i = sqrt(dim i)/sqrt(lambda_i u_i conj(u_i)) and
-    sigma(i) = lambda_{i*} mu(i).  For the scalar of the u-normalized
-    Hermitian pairing, call with a pair whose w equals its u.
+    Here r_i = sqrt(dim i)/sqrt(u_i conj(u_i)).  For the scalar of the
+    u-normalized Hermitian pairing, call with the pair's w replaced by its
+    u, e.g. ``dataclasses.replace(sp, w=sp.u)``.
     """
 
     def r(x):
-        return _sqrt_dim(data, x) / cmath.sqrt(sdd.lam[x] * sp.u[x] * sp.u[x].conjugate())
+        return _sqrt_dim(data, x) / cmath.sqrt(sp.u[x] * sp.u[x].conjugate())
 
     out = 1.0 + 0j
     for lab in a.labels():
         other = data.dual[lab]
-        sigma = sdd.lam[other] * sdd.mu[lab]
-        out *= r(lab) * r(other) / (sigma * sp.w[lab] * sp.w[other].conjugate())
+        out *= r(lab) * r(other) / (sp.mu[lab] * sp.w[lab] * sp.w[other].conjugate())
     return out
 
 

@@ -5,13 +5,13 @@ prints a single [PASS]/[FAIL] line with the measured quantity, so a
 verbose run doubles as a checklist.
 """
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import numpy as np
 
 import modfunctor as mf
-from modfunctor.scaling import ScalingPair, SelfDualityData
 from modfunctor.surfaces import Component, MarkedPoint, Surface
 from conftest import builtin_tokens, get_family, get_fusion
 from grading_oracle import is_character, oracle_group
@@ -204,9 +204,8 @@ def test_ac07_canonical_scaling(capsys):
     solved = {}
     for tokens in toks:
         data = get_family(*tokens)
-        sdd = SelfDualityData.defaults(data)
-        sp = mf.solve_canonical(data, sdd)
-        solved[tokens] = (data, sdd, sp)
+        sp = mf.solve_canonical(data)
+        solved[tokens] = (data, sp)
         for lab in data.labels:
             worst_res = max(
                 worst_res, abs(sp.u[lab] - mf.s_factor(data, sp, lab) * sp.w[lab])
@@ -215,12 +214,12 @@ def test_ac07_canonical_scaling(capsys):
             worst_z = max(worst_z, abs(abs(z) - mf.quantum_dim(data, lab).real))
     rng = np.random.default_rng(1009)
     for trial in range(100):
-        data, sdd, sp = solved[toks[trial % len(toks)]]
+        data, sp = solved[toks[trial % len(toks)]]
         size = int(rng.integers(0, 6))
         labs = [data.labels[int(t)] for t in rng.integers(0, data.n, size=size)]
         a = mf.sphere_with_labels(labs)
-        nu = mf.symplectic_multiplicity(data, sdd, a)
-        scalar = mf.self_duality_scalar(data, sdd, sp, a)
+        nu = mf.symplectic_multiplicity(data, sp, a)
+        scalar = mf.self_duality_scalar(data, sp, a)
         worst_sign = max(worst_sign, abs(scalar - (-1.0) ** nu))
     ok = worst_res < 1e-12 and worst_sign < 1e-12 and worst_z < 1e-12
     _emit(capsys, "AC7 canonical scaling", ok,
@@ -233,30 +232,28 @@ def test_ac08_strict_scaling(capsys):
     for tokens in builtin_tokens():
         data = get_family(*tokens)
         fusion = get_fusion(data)
-        sdd = SelfDualityData.defaults(data)
         found = mf.find_fundamental_symplectic_character(data, mf.dual_group(data, fusion))
         if not isinstance(found, mf.GroupCharacter):
             ok = False
             continue
-        sp = mf.solve_strict(data, sdd, found)
+        sp = mf.solve_strict(data, found)
         for i, lab in enumerate(data.labels):
             other = data.labels[data.dual_index(i)]
             worst1 = max(worst1, abs(sp.u[lab] - mf.s_factor(data, sp, lab) * sp.w[lab]))
             worst2 = max(
-                worst2, abs(sdd.mu[lab] * sp.u[lab] / sp.u[other] - found.phase(lab))
+                worst2, abs(sp.mu[lab] * sp.u[lab] / sp.u[other] - found.phase(lab))
             )
     positives = 0
     worst_tuple = 0.0
     for tokens, use_mu_tilde in ((("su", 2, 3), False), (("su", 3, 2), True)):
         data = get_family(*tokens)
         fusion = get_fusion(data)
-        sdd = SelfDualityData.defaults(data)
         if use_mu_tilde:
             chi = _mu_tilde_character(data, 3)
         else:
             chi = mf.find_fundamental_symplectic_character(data, mf.dual_group(data, fusion))
-        sp = mf.solve_strict(data, sdd, chi)
-        uu = ScalingPair(u=sp.u, w=sp.u)
+        sp = mf.solve_strict(data, chi)
+        uu = dataclasses.replace(sp, w=sp.u)
         for npts in range(5):
             for tup in itertools.product(range(data.n), repeat=npts):
                 a = mf.sphere_with_labels([data.labels[j] for j in tup])
@@ -264,9 +261,9 @@ def test_ac08_strict_scaling(capsys):
                     continue
                 positives += 1
                 worst_tuple = max(
-                    worst_tuple, abs(mf.self_duality_scalar(data, sdd, sp, a) - 1.0)
+                    worst_tuple, abs(mf.self_duality_scalar(data, sp, a) - 1.0)
                 )
-                worst_tuple = max(worst_tuple, abs(mf.unitary_rho(data, sdd, uu, a) - 1.0))
+                worst_tuple = max(worst_tuple, abs(mf.unitary_rho(data, uu, a) - 1.0))
     ok = ok and worst1 < 1e-12 and worst2 < 1e-12 and worst_tuple < 1e-12
     _emit(capsys, "AC8 strict scaling", ok,
           f"33 families, residuals ({worst1:.2e}, {worst2:.2e}); "

@@ -16,7 +16,7 @@ import pytest
 import modfunctor as mf
 from modfunctor import cli, modular_data
 from modfunctor.cli import UsageError, main, parse_surface_literal, run_command
-from conftest import get_family
+from conftest import builtin_tokens, get_family
 
 
 # the keys of every family's "checks" in verify's --json output, in order
@@ -113,6 +113,24 @@ def test_scaling_command():
     doc = json.loads(report.human)
     assert abs(doc["u"]["1"][0] - 2.0 ** 0.125) < 1e-12
     assert abs(doc["u"]["1"][1]) < 1e-12
+
+
+def test_scaling_checks_pass_on_every_builtin_family():
+    for tokens in builtin_tokens():
+        for mode in ("canonical", "strict"):
+            code, report = run_command(["scaling", *map(str, tokens), "--mode", mode])
+            assert code == 0, (tokens, mode)
+            for key in ("max_residual", "max_pair_residual", "max_sign_check"):
+                assert report.machine[key] < 1e-9, (tokens, mode, key, report.machine[key])
+
+
+def test_scaling_exits_1_on_a_failed_sign_check(monkeypatch):
+    monkeypatch.setattr(cli, "self_duality_scalar", lambda data, sp, a: 2.0 + 0j)
+    for mode in ("canonical", "strict"):
+        code, report = run_command(["scaling", "su", "2", "3", "--mode", mode])
+        assert code == 1
+        assert report.machine["max_sign_check"] >= 1
+        assert report.machine["max_residual"] < 1e-9 and report.machine["max_pair_residual"] < 1e-9
 
 
 def test_characters_and_strict_scaling_report_the_certificate(monkeypatch):
@@ -430,9 +448,9 @@ def test_scaling_sign_checks_are_the_fixed_draws(monkeypatch):
     seen = []
     real = cli.self_duality_scalar
 
-    def record(data, sdd, sp, a):
+    def record(data, sp, a):
         seen.append(a)
-        return real(data, sdd, sp, a)
+        return real(data, sp, a)
 
     monkeypatch.setattr(cli, "self_duality_scalar", record)
     # n = 8 is prime to the stride 5 over surfaces, so the 8 spheres are distinct;

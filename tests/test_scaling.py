@@ -1,13 +1,14 @@
 """Scaling pairs: normalization scalars, the two solvers, unitarity scalars."""
 
 import cmath
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import modfunctor as mf
-from modfunctor.scaling import ScalingPair, SelfDualityData
+from modfunctor.scaling import ScalingPair
 from modfunctor.surfaces import Component, Surface
 from conftest import get_family, get_fusion
 from lie_oracle import parse_young_label, su_mu_tilde
@@ -31,12 +32,12 @@ def test_ones_fills_every_pair_root_and_reading_keeps_them(su22, su31):
     for data in (su22, su31):
         sp = ones(data)
         keys = {mf.pair_key(data, lab) for lab in data.labels}
-        assert sp.sqrt_uu == sp.sqrt_ww == dict.fromkeys(keys, 1.0 + 0j)
-        uu, ww = dict(sp.sqrt_uu), dict(sp.sqrt_ww)
+        assert sp.sqrt_uu == dict.fromkeys(keys, 1.0 + 0j)
+        uu = dict(sp.sqrt_uu)
         for lab in data.labels:
             mf.s_factor(data, sp, lab)
             mf.pairing_normalization(data, sp, mf.sphere_with_labels([lab, data.dual[lab]]))
-        assert sp.sqrt_uu == uu and sp.sqrt_ww == ww
+        assert sp.sqrt_uu == uu
 
 
 def test_pairing_normalization_frozen(su22):
@@ -102,31 +103,34 @@ def test_telescoping_distinct_components(su31):
 
 
 def test_mu_scaled(su22, su31):
-    sdd = SelfDualityData.defaults(su22)
-    sp = ones(su22)
+    sp = mf.solve_canonical(su22)
     # all labels self-dual: scaling cannot move the sign
-    assert mu_list(su22, sdd, sp) == [1, -1, 1]
-    sdd3 = SelfDualityData.defaults(su31)
-    sp3 = ones(su31)
-    sp3.w["1"] = 2.0 + 0j
-    sp3.w["1.1"] = 0.5 + 0j
-    assert abs(mf.mu_scaled(su31, sdd3, sp3, "1") - 4.0) < 1e-14
-    assert abs(mf.mu_scaled(su31, sdd3, sp3, "1.1") - 0.25) < 1e-14
+    assert mu_list(su22, sp) == [1, -1, 1]
+    sp3 = dataclasses.replace(mf.solve_canonical(su31), w={"0": 1.0 + 0j, "1": 2.0 + 0j, "1.1": 0.5 + 0j})
+    assert abs(mf.mu_scaled(su31, sp3, "1") - 4.0) < 1e-14
+    assert abs(mf.mu_scaled(su31, sp3, "1.1") - 0.25) < 1e-14
 
 
-def mu_list(data, sdd, sp):
-    return [round(mf.mu_scaled(data, sdd, sp, lab).real) for lab in data.labels]
+def mu_list(data, sp):
+    return [round(mf.mu_scaled(data, sp, lab).real) for lab in data.labels]
+
+
+def test_solvers_read_mu_from_the_indicators(su22, su31):
+    # mu is the indicator on self-dual labels and 1 elsewhere, in both solvers
+    assert mf.solve_canonical(su22).mu == {"0": 1.0 + 0j, "1": -1.0 + 0j, "2": 1.0 + 0j}
+    assert mf.solve_canonical(su31).mu == dict.fromkeys(su31.labels, 1.0 + 0j)
+    _, sp = strict_pair(su22)
+    assert sp.mu == mf.solve_canonical(su22).mu
 
 
 def test_solve_canonical_values(su22):
-    sdd = SelfDualityData.defaults(su22)
-    sp = mf.solve_canonical(su22, sdd)
+    sp = mf.solve_canonical(su22)
     assert all(abs(w - 1.0) < 1e-14 for w in sp.w.values())
     assert abs(sp.u["0"] - 1.0) < 1e-14
     assert abs(sp.u["1"] - EIGHTH) < 1e-14
     assert abs(sp.u["2"] - 1.0) < 1e-14
     trivial = get_family("su", 2, 0)
-    sp0 = mf.solve_canonical(trivial, SelfDualityData.defaults(trivial))
+    sp0 = mf.solve_canonical(trivial)
     assert sp0.u == {"0": 1.0 + 0j}
 
 
@@ -134,28 +138,19 @@ def test_solve_canonical_residuals():
     for tokens in (("su", 2, 2), ("su", 2, 3), ("su", 3, 1), ("su", 4, 2),
                    ("lie", "G", 2, 1), ("lie", "B", 2, 2)):
         data = get_family(*tokens)
-        sdd = SelfDualityData.defaults(data)
-        sp = mf.solve_canonical(data, sdd)
+        sp = mf.solve_canonical(data)
         for lab in data.labels:
             res = abs(sp.u[lab] - mf.s_factor(data, sp, lab) * sp.w[lab])
             assert res < 1e-12, (tokens, lab, res)
 
 
-def test_solve_canonical_rejects_twisted_mu(su31):
-    sdd = SelfDualityData.defaults(su31)
-    sdd.mu["1"] = -1.0 + 0j
-    with pytest.raises(mf.InvalidModularData):
-        mf.solve_canonical(su31, sdd)
-
-
 def strict_pair(data, chi_values=None):
     fusion = get_fusion(data)
-    sdd = SelfDualityData.defaults(data)
     if chi_values is None:
         chi = mf.find_fundamental_symplectic_character(data, mf.dual_group(data, fusion))
     else:
         chi = mf.GroupCharacter(chi_values)
-    return sdd, chi, mf.solve_strict(data, sdd, chi)
+    return chi, mf.solve_strict(data, chi)
 
 
 def test_solve_strict_residuals(su23, su32):
@@ -164,89 +159,79 @@ def test_solve_strict_residuals(su23, su32):
             vals = {lab: su_mu_tilde(3, parse_young_label(lab)) for lab in data.labels}
         else:
             vals = None
-        sdd, chi, sp = strict_pair(data, vals)
+        chi, sp = strict_pair(data, vals)
         for i, lab in enumerate(data.labels):
             other = data.labels[data.dual_index(i)]
             res1 = abs(sp.u[lab] - mf.s_factor(data, sp, lab) * sp.w[lab])
-            res2 = abs(sdd.mu[lab] * sp.u[lab] / sp.u[other] - chi.phase(lab))
+            res2 = abs(sp.mu[lab] * sp.u[lab] / sp.u[other] - chi.phase(lab))
             assert res1 < 1e-12, (lab, res1)
             assert res2 < 1e-12, (lab, res2)
-            assert abs(mf.mu_scaled(data, sdd, sp, lab) - chi.phase(lab)) < 1e-12
+            assert abs(mf.mu_scaled(data, sp, lab) - chi.phase(lab)) < 1e-12
 
 
 def test_solve_strict_trivial_character_matches_canonical(fib):
-    sdd, chi, sp = strict_pair(fib)
-    canon = mf.solve_canonical(fib, sdd)
+    chi, sp = strict_pair(fib)
+    canon = mf.solve_canonical(fib)
     for lab in fib.labels:
         assert abs(sp.u[lab] - canon.u[lab]) < 1e-14
         assert abs(sp.w[lab] - 1.0) < 1e-14
 
 
 def test_solve_strict_preconditions(su23, su31):
-    fusion = get_fusion(su23)
-    sdd = SelfDualityData.defaults(su23)
     wrong = mf.GroupCharacter({"0": 0, "1": Fraction(1, 2), "2": Fraction(1, 2), "3": 0})
     with pytest.raises(mf.InvalidModularData):
-        mf.solve_strict(su23, sdd, wrong)
-    sdd3 = SelfDualityData.defaults(su31)
+        mf.solve_strict(su23, wrong)
     unpaired = mf.GroupCharacter({"0": 0, "1": Fraction(1, 3), "1.1": Fraction(1, 3)})
     with pytest.raises(mf.InvalidModularData):
-        mf.solve_strict(su31, sdd3, unpaired)
-    bad_mu = SelfDualityData.defaults(su23)
-    bad_mu.mu["1"] = 1j
-    good = mf.find_fundamental_symplectic_character(su23, mf.dual_group(su23, fusion))
-    with pytest.raises(mf.InvalidModularData):
-        mf.solve_strict(su23, bad_mu, good)
+        mf.solve_strict(su31, unpaired)
 
 
 def test_symplectic_multiplicity(su22, su23):
-    sdd = SelfDualityData.defaults(su22)
-    assert mf.symplectic_multiplicity(su22, sdd, mf.sphere_with_labels(["1", "1", "2"])) == 2
-    sdd3 = SelfDualityData.defaults(su23)
+    sp = mf.solve_canonical(su22)
+    assert mf.symplectic_multiplicity(su22, sp, mf.sphere_with_labels(["1", "1", "2"])) == 2
+    sp3 = mf.solve_canonical(su23)
     a = mf.sphere_with_labels(["1", "3", "1"])
-    assert mf.symplectic_multiplicity(su23, sdd3, a) == 3
+    assert mf.symplectic_multiplicity(su23, sp3, a) == 3
 
 
 def test_self_duality_scalar(su22, su31):
-    sdd = SelfDualityData.defaults(su22)
-    sp = mf.solve_canonical(su22, sdd)
-    assert abs(mf.self_duality_scalar(su22, sdd, sp, Surface(())) - 1.0) < 1e-14
+    sp = mf.solve_canonical(su22)
+    assert abs(mf.self_duality_scalar(su22, sp, Surface(())) - 1.0) < 1e-14
     odd = mf.sphere_with_labels(["1", "1", "2"])
-    assert abs(mf.self_duality_scalar(su22, sdd, sp, odd) - 1.0) < 1e-14
+    assert abs(mf.self_duality_scalar(su22, sp, odd) - 1.0) < 1e-14
     one = mf.sphere_with_labels(["1"])
-    assert abs(mf.self_duality_scalar(su22, sdd, sp, one) + 1.0) < 1e-14
+    assert abs(mf.self_duality_scalar(su22, sp, one) + 1.0) < 1e-14
 
     vals = {lab: su_mu_tilde(3, parse_young_label(lab)) for lab in su31.labels}
-    sdd3, chi3, sp3 = strict_pair(su31, vals)
+    chi3, sp3 = strict_pair(su31, vals)
     allowed = mf.sphere_with_labels(["1", "1.1"])
     assert mf.state_dim(su31, get_fusion(su31), allowed) == 1
-    assert abs(mf.self_duality_scalar(su31, sdd3, sp3, allowed) - 1.0) < 1e-12
+    assert abs(mf.self_duality_scalar(su31, sp3, allowed) - 1.0) < 1e-12
 
 
 def test_unitary_rho_canonical(su22):
-    sdd = SelfDualityData.defaults(su22)
-    sp = mf.solve_canonical(su22, sdd)
-    uu = ScalingPair(u=sp.u, w=sp.u)
-    assert abs(mf.unitary_rho(su22, sdd, uu, Surface(())) - 1.0) < 1e-14
+    sp = mf.solve_canonical(su22)
+    uu = dataclasses.replace(sp, w=sp.u)
+    assert abs(mf.unitary_rho(su22, uu, Surface(())) - 1.0) < 1e-14
     for labs, want in ((["1"], -1.0), (["1", "1"], 1.0), (["1", "2"], -1.0),
                        (["1", "1", "1", "1"], 1.0), (["2", "2"], 1.0)):
         a = mf.sphere_with_labels(labs)
-        got = mf.unitary_rho(su22, sdd, uu, a)
+        got = mf.unitary_rho(su22, uu, a)
         assert abs(got - want) < 1e-12, (labs, got)
 
 
 def test_unitary_rho_strict(su32):
     vals = {lab: su_mu_tilde(3, parse_young_label(lab)) for lab in su32.labels}
-    sdd, chi, sp = strict_pair(su32, vals)
-    uu = ScalingPair(u=sp.u, w=sp.u)
+    chi, sp = strict_pair(su32, vals)
+    uu = dataclasses.replace(sp, w=sp.u)
     # per point the scalar is the character phase of the dual label
     two = mf.sphere_with_labels(["1", "1"])
     want = chi.phase("1.1") ** 2
-    assert abs(mf.unitary_rho(su32, sdd, uu, two) - want) < 1e-12
+    assert abs(mf.unitary_rho(su32, uu, two) - want) < 1e-12
     # fusion-allowed tuple: phases cancel
     three = mf.sphere_with_labels(["1", "1", "1"])
     assert mf.state_dim(su32, get_fusion(su32), three) == 1
-    assert abs(mf.unitary_rho(su32, sdd, uu, three) - 1.0) < 1e-12
+    assert abs(mf.unitary_rho(su32, uu, three) - 1.0) < 1e-12
 
 
 def test_z_of_label(su21, su23):
