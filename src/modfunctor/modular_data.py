@@ -388,12 +388,12 @@ def anomaly_scalar(data, s):
     return (global_D(data) / delta) ** int(s)
 
 
-def _integer_tolerance(atol, scale):
+def _integer_tolerance(tol, scale):
     """Allowed |sum - round(sum)|, elementwise, for terms of total magnitude `scale`.
 
     Float error scales with the terms, which for negative S_{0r} powers dwarf the sum.
     """
-    return np.minimum(np.maximum(atol, 5e-12 * scale), 0.45)
+    return np.minimum(np.maximum(tol, 5e-12 * scale), 0.45)
 
 
 def _simple_currents(S, z):
@@ -439,16 +439,16 @@ def _is_group(P, z):
 
 
 def _current_pass(S, z, P):
-    """(Q, bound, handle_bound) of :func:`verlinde_fusion`, with (I) checked on every entry of S.
+    """(Q, bound, moved) of :func:`verlinde_fusion`, with (I) checked on every entry of S.
 
     P is :func:`_simple_currents`.  Q[a, x] is the charge q_J(x) of label x
-    under J = P[a, z]; `bound` is orbit + fold + skip; `handle_bound` is
-    (u, h, w, rho) with u = A h + B rho and w = B h + rho, so that handle
-    entry (x, y) of a representative row is within u_x h_y + w_x rho_y of
-    every entry it stands for.  With G = {0} the charges, `bound` and
-    `handle_bound` are 0: there the gap 2 sin(pi / |G|) is 0 (2.4e-16 in
-    floats), and the bounds below divide by it.  When nu or beta leaves no
-    room for the derivation the bounds are infinite.  Works in row blocks.
+    under J = P[a, z]; `bound` is orbit + fold + skip; `moved` is
+    (u, h, w, rho) with u = nu h + p rho and w = p h + rho, so that handle
+    entry (sigma_J(x), sigma_J(y)) is within u_x h_y + w_x rho_y of entry
+    (x, y).  With G = {0} the charges, `bound` and `moved` are 0: there the
+    gap 2 sin(pi / |G|) is 0 (2.4e-16 in floats), and `bound` divides by
+    it.  When nu leaves no room for the derivation `bound` is infinite.
+    Works in row blocks.
     """
     g, n = P.shape
     if g == 1:
@@ -468,12 +468,11 @@ def _current_pass(S, z, P):
     top = mod.max()
     nu = max(top * top - 1, 1 - mod.min() ** 2)
     p = max(1.0, top)
-    beta = max(abs(c.conjugate() / c - 1) for c in t.tolist())
     inv0 = 1 / np.abs(row0)
     inv0sq = inv0 * inv0
     weights = np.array((inv0, inv0sq)).T
     m = s2 = eps = delta = eta = 0.0
-    h2, rho2 = np.empty(n), np.zeros(n)
+    h2, rho2 = np.empty(n), np.empty(n)
     # blocks of at most max(n^2, 2^12) entries over all currents, and at most `_BLOCK`
     step = max(1, min(_BLOCK, max(n * n, 1 << 12)) // (g * n))
     for x0 in range(0, n, step):
@@ -489,37 +488,35 @@ def _current_pass(S, z, P):
         residual = np.abs(residual)  # of (I), entry by entry
         delta = max(delta, residual.max())
         eta = max(eta, (residual[:, :, z] * inv0[x0 : x0 + step]).max())
-        e2 = (residual * residual).sum(axis=0)
-        rho2[x0 : x0 + step] += e2 @ inv0sq  # weighted row and column norms, summed over G
-        rho2 += inv0sq[x0 : x0 + step] @ e2
+        rho2[x0 : x0 + step] = (residual * residual).sum(axis=0) @ inv0sq  # weighted row norms, summed over G
+    h, rho = np.sqrt(h2), np.sqrt(rho2)
+    moved = (nu * h + p * rho, h, p * h + rho, rho)
     s = math.sqrt(s2)
     eta += (1 + p) * eps * inv0.max()  # |S_{0, sigma_J(r)} - t S_{0r}| <= residual at (r, 0) + (1 + p) eps
     gap = 2 * math.sin(math.pi / g)
-    if not (nu < min(gap, 1) and beta < gap):
-        inf = np.full(n, math.inf)
-        return Q, math.inf, (inf, inf, inf, inf)
+    if not nu < min(gap, 1):
+        return Q, math.inf, moved
     kappa = 2 * nu / (1 - nu) + frac
     de = delta + (1 + p) * eps + p * kappa * s
     tau = p * (1 + eta)
     orbit = m * ((3 + p) * delta + s * (nu + 8 * (n + 8) * _UNIT_ROUNDOFF))
     fold = m * ((g - 1) * (nu * s + 3 * de * tau) + eta * s)
     skip = m * (3 * de * tau + eta * s) / (gap - nu)
-    h = np.sqrt(h2)
-    rho = np.sqrt(rho2 / (1 - nu))
-    rho += kappa * h + (1 + p) * eps * math.sqrt(inv0sq.sum() / (1 - nu))
-    A = nu + (g - 1) * beta + (2 * eta + eta**2) * (1 + 1 / (gap - beta))
-    B = p + (1 + eta) * (g - 1 + 1 / (gap - beta))
-    return Q, float(orbit + fold + skip), (A * h + B * rho, h, B * h + rho, rho)
+    return Q, float(orbit + fold + skip), moved
 
 
-def verlinde_fusion(data, atol=None):
+def verlinde_fusion(data):
     """Fusion multiplicities N_{ij}^k = sum_r S_{ir} S_{jr} conj(S_{kr}) / S_{0r}.
 
-    Every coefficient must lie within `atol` (default: `data.tol`) of a
-    nonnegative integer, and the handle operator S diag(S_{0r}^{-2}) S^dagger
-    must round to integers within :func:`_integer_tolerance`; otherwise
+    Every coefficient must lie within `data.tol` of a nonnegative integer,
+    and the handle operator S diag(S_{0r}^{-2}) S^dagger must round to
+    integers within :func:`_integer_tolerance`; otherwise
     :class:`NonIntegralFusion` is raised, which signals that (S, theta) is
-    not valid modular data.
+    not valid modular data.  What is measured: the folded Verlinde sums of
+    the pairs of representatives, and every entry of the handle's
+    representative rows.  What is bounded: every other fusion coefficient
+    (orbit, fold and skip below), and the handle rows copied by permutation
+    (the moved-row term below).
 
     Simple currents.  An invertible label J permutes the labels by
     sigma_J(x) = J (x) x, and its rows of S satisfy (Schellekens-Yankielowicz,
@@ -612,32 +609,22 @@ def verlinde_fusion(data, atol=None):
 
     of the full one.  The reported deviation is the representatives'
     largest deviation plus orbit + fold + skip (all 0 when G = {0}), and it
-    alone is compared with `atol`: a residual of (I) fails as a coefficient
+    alone is compared with `data.tol`: a residual of (I) fails as a coefficient
     that is not an integer.  It is kept as `FusionTensor.deviation`.  The
     negative-coefficient error names a representative triple.
 
-    Handle.  H_{xy} = sum_r g(r), g(r) = S_{xr} conj(S_{yr}) / S_{0r}^2, is
-    charge-diagonal (H_{xy} = 0 unless x and y share a class), and
-    H_{sigma_J(x), sigma_J(y)} = H_{xy}.  Only the representative rows are
-    summed, folded over r, and row sigma_J(x) is row x permuted.  Let
-    h_x = (sum_r |S_{xr}|^2 / |S_{0r}|^2)^(1/2) and beta bound
-    |conj(t) / t - 1|.  rho_x bounds the same weighted norm of the residual
-    of (I) in row x and of e_x / t: the row and column norms of the
-    residuals of every J, summed, over 1 - nu, plus kappa h_x and the eps
-    term.  The steps above with g(sigma_J(r)) (1 + w_r)^2 =
-    Phi conj(t) / t g(r) + (two terms with one e) put an off-class entry within
-    ((2 eta + eta^2) h_x h_y + (1 + eta) (rho_x h_y + h_x rho_y)) /
-    (2 sin(pi / |G|) - beta) of 0, a folded entry within
-    (|G| - 1) (beta h_x h_y + (1 + eta) (rho_x h_y + h_x rho_y)) +
-    (2 eta + eta^2) h_x h_y of the full one, and a moved row within
-    nu h_x h_y + rho_x (p h_y + rho_y) + p h_x rho_y of the row it moves.
-    Their sum is (A h_x + B rho_x) h_y + (B h_x + rho_x) rho_y with
-    A = nu + (|G| - 1) beta + (2 eta + eta^2) (1 + 1 / (2 sin(pi / |G|) - beta))
-    and B = p + (1 + eta) (|G| - 1 + 1 / (2 sin(pi / |G|) - beta)).  It is
-    added to the measured deviation of each computed entry (to 0 for an
-    off-class one), which must lie within :func:`_integer_tolerance` of the
-    folded magnitude of its terms, equal to the full one to first order.
-    The failure reports the largest such sum.
+    Handle.  H_{xy} = sum_r S_{xr} conj(S_{yr}) / S_{0r}^2 is summed in
+    full, over every r and every column, for each representative row x, and
+    row sigma_J(x) is row x permuted: H_{sigma_J(x), sigma_J(y)} = H_{xy}.
+    Let h_x = (sum_r |S_{xr}|^2 / |S_{0r}|^2)^(1/2), and rho_x the same
+    weighted norm of the residuals of (I) in row x, summed in squares over
+    G.  (I) in rows x and y writes each term of H_{sigma_J(x), sigma_J(y)}
+    as |psi_J(r)|^2 times the term of H_{xy} plus three terms with a
+    residual, and Cauchy-Schwarz puts the moved entry within
+    nu h_x h_y + rho_x (p h_y + rho_y) + p h_x rho_y of H_{xy} (0 when
+    G = {0}).  That moved-row term is added to the measured deviation of
+    each computed entry, which must lie within :func:`_integer_tolerance`
+    of the magnitude of its terms; the failure reports the largest such sum.
 
     Every check runs in blocks of at most `_BLOCK` entries (n^2 or fewer
     while n <= 512) and keeps none of them: the returned :class:`FusionTensor`
@@ -646,22 +633,49 @@ def verlinde_fusion(data, atol=None):
     permutes the columns of that cached slice for the rest of the orbit,
     through the representatives and currents found here
     (`FusionTensor.rep` and `FusionTensor.via`).
-    The handle check runs first, so its failure is the one raised.
+    The handle check runs first, so its failure is the one raised; when nu
+    leaves no room for the fusion bound, the handle check may pass and the
+    fusion check then fails with an infinite deviation.
     """
-    if atol is None:
-        atol = data.tol
-    S = data.S
+    S, tol = data.S, data.tol
     z = data.index(data.zero)
     row0 = S[z, :]
-    if np.abs(row0).min() <= data.tol:
+    if np.abs(row0).min() <= tol:
         raise NonIntegralFusion("a unit-row S entry vanishes; Verlinde sum undefined")
     n = data.n
     step = max(1, _BLOCK // n)
 
     P = _simple_currents(S, z)
-    Q, bound, handle_bound = _current_pass(S, z, P)
+    Q, bound, moved = _current_pass(S, z, P)
     g, rep = len(P), P.min(axis=0)
     reps = (rep == np.arange(n)).nonzero()[0]
+
+    # handle: the representative rows, summed over every r and every column;
+    # the conjugate rows conj(H[X]) keep the real parts and the distances to integers
+    w0 = row0**-2
+    abs_S = np.abs(S)
+    u, h, w, rho = moved
+    rep_rows = np.empty((len(reps), n), dtype=np.int64)
+    worst, bad = 0.0, False
+    for x0 in range(0, len(reps), step):
+        X = reps[x0 : x0 + step]
+        rows = S[X] * w0
+        np.conj(rows, out=rows)
+        raw = rows @ S.T
+        rounded = np.rint(raw.real)
+        dev = np.abs(raw - rounded)
+        dev += u[X, None] * h + w[X, None] * rho  # the rows this one is moved to
+        rep_rows[x0 : x0 + step] = rounded
+        scale = np.abs(rows) @ abs_S.T
+        bad = bad or not (dev <= _integer_tolerance(tol, scale)).all()
+        worst = max(worst, dev.max())
+    if bad:
+        raise NonIntegralFusion(f"handle operator deviates from integers by up to {worst:.3e}")
+    del abs_S, rows, raw, rounded, dev, scale  # none of the handle's blocks lives next to the fusion's
+    handle = np.empty((n, n), dtype=np.int64)
+    handle[P[:, reps, None], P[:, None]] = rep_rows
+    del rep_rows
+
     size = np.bincount(rep, minlength=n)[reps]
     # charge classes: labels with equal charges under every current
     classes = {}
@@ -673,41 +687,15 @@ def verlinde_fusion(data, atol=None):
     ).reshape(C, C)
     R = reps if len(reps) < n else slice(None)  # a basic slice when G = {0}, so that numpy takes views
     SR = S[:, R]
-    SctR = SR.conj().T
     wr0 = row0[R] / size  # S_ir / wr0_r = |O_r| S_ir / S_0r
-
-    # handle: representative rows, folded; an off-class entry is 0 within its bound
-    hw = row0[R] ** -2 * size
-    abs_hw, abs_t = np.abs(hw), np.abs(SctR)
-    u, h, w, rho = handle_bound
-    u, w = u[reps, None], w[reps, None]
-    handle = np.empty((n, n), dtype=np.int64)
-    worst, bad = 0.0, False
-    SRR = SR[R]  # the representatives' rows: a view when every label is one
-    for x0 in range(0, len(reps), step):
-        X = reps[x0 : x0 + step]
-        rows = SRR[x0 : x0 + step]
-        raw = (rows * hw) @ SctR
-        rounded = np.rint(raw.real)
-        dev = np.abs(raw - rounded)
-        same = cls[X, None] == cls
-        rounded *= same
-        dev *= same
-        dev += u[x0 : x0 + step] * h + w[x0 : x0 + step] * rho
-        handle[X] = rounded
-        scale = (np.abs(rows) * abs_hw) @ abs_t
-        bad = bad or not (dev <= _integer_tolerance(atol, scale)).all()
-        worst = max(worst, dev.max())
-    if bad:
-        raise NonIntegralFusion(f"handle operator deviates from integers by up to {worst:.3e}")
-    handle[P[:, reps, None], P[:, None]] = handle[reps]
-    del SRR, abs_t, raw, rounded, dev, scale  # none of the handle's blocks lives next to the fusion's
 
     # fusion: pairs i <= j of representatives, sorted by the class of i + j,
     # each summed over the columns of that class only
     by_class = cls.argsort(kind="stable")  # labels by class
     starts = cls[by_class].searchsorted(np.arange(C + 1)).tolist()
-    columns = SctR[:, by_class]
+    columns = SR[by_class]
+    np.conj(columns, out=columns)
+    columns = columns.T  # columns[:, k] = conj(S[by_class[k], R]), S^dagger's columns in class order
     cls_r = cls[reps]
     nr = len(reps)
     rows_per = max(1, min(n, _BLOCK // max(nr, *(b - a for a, b in zip(starts, starts[1:])))))
@@ -740,8 +728,8 @@ def verlinde_fusion(data, atol=None):
             t0 = t1
 
     dev = float(dev + bound)
-    if dev > atol:
-        raise NonIntegralFusion(f"fusion coefficients deviate from integers by {dev:.3e} > {atol:.3e}")
+    if dev > tol:
+        raise NonIntegralFusion(f"fusion coefficients deviate from integers by {dev:.3e} > {tol:.3e}")
     if where is not None:
         i, j, k = where
         raise NonIntegralFusion(
@@ -755,9 +743,11 @@ def verlinde_fusion(data, atol=None):
     balanced = add[cls].T  # balanced[c, x] = class x + class c
 
     def slice_of(r):
-        M = np.rint(((SR * (S[r, R] / wr0)) @ SctR).real)
-        M *= cls == balanced[cls[r], :, None]  # keep the balanced entries, class(y) = class(x) + class(r)
-        return M.astype(np.int64)
+        M = np.rint(((SR * (S[r, R] / wr0)) @ columns).real)
+        M *= cls[by_class] == balanced[cls[r], :, None]  # keep the balanced entries, class(y) = class(x) + class(r)
+        out = np.empty((n, n), dtype=np.int64)
+        out[:, by_class] = M
+        return out
 
     fusion = FusionTensor(data.labels, slice_of, handle)
     fusion.currents = dict(zip(P[:, z].tolist(), P))

@@ -38,7 +38,9 @@ def test_ac01_fusion_integrality_and_identities(capsys):
     for N in (2, 3, 4):
         for k in range(1, 7):
             data = get_family("su", N, k)
-            fusion = mf.verlinde_fusion(data, atol=1e-6)
+            fusion = mf.verlinde_fusion(
+                mf.ModularData(data.labels, data.zero, data.dual, data.S, data.theta, tol=1e-6)
+            )
             z = data.index(data.zero)
             S, Sinv = data.S, data.S.conj().T
             dev = 0.0

@@ -93,6 +93,16 @@ def test_dims_command():
     assert code == 2
 
 
+@pytest.mark.parametrize("family, torus", [(("C", "4", "4"), 70), (("C", "3", "6"), 84)], ids=["C 4 4", "C 3 6"])
+def test_c_type_families_pass_every_fusion_command(family, torus):
+    # a bound on the folded handle once refused both with exit 2
+    code, report = run_command(["dims", "lie", *family, "--surface", "g=1[]"])
+    assert code == 0
+    assert report.machine["state_dim"] == report.machine["state_dim_verlinde"] == torus
+    for argv in (["characters"], ["scaling", "--mode", "strict"], ["verify"]):
+        assert run_command([argv[0], "lie", *family, *argv[1:]])[0] == 0
+
+
 def test_characters_command_json():
     code, report = run_command(["--json", "characters", "su", "3", "2"])
     assert code == 0
@@ -268,7 +278,7 @@ def test_verify_file_failing_validation_fails_checks(tmp_path):
 
 
 def test_info_and_canonical_scaling_build_no_fusion_tensor(monkeypatch):
-    def refuse(data, atol=None):
+    def refuse(data):
         raise AssertionError("verlinde_fusion called")
 
     monkeypatch.setattr(cli, "verlinde_fusion", refuse)

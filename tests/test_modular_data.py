@@ -193,15 +193,14 @@ def slice_oracle(data, j):
     return np.round(((S * (S[j] / S[data.index(data.zero)])) @ S.conj().T).real).astype(np.int64)
 
 
-def full_check(data, atol=None):
+def full_check(data):
     """The Verlinde check over every pair i <= j, then the handle check, with no simple currents.
 
     Returns (deviation, outcome): the largest deviation over the whole upper
     triangle, and the error message of the first failed check (deviation,
     negative coefficient, handle, in that order), or the integer handle
-    operator when every check passes.
+    operator when every check passes.  The tolerance is `data.tol`.
     """
-    atol = data.tol if atol is None else atol
     S = data.S
     row0 = S[data.index(data.zero)]
     Sct = S.conj().T
@@ -217,12 +216,12 @@ def full_check(data, atol=None):
     handle = np.round(raw.real)
     scale = (np.abs(S) * np.abs(row0**-2)) @ np.abs(S).T
     handle_dev = np.abs(raw - handle)
-    if dev > atol:
-        return dev, f"fusion coefficients deviate from integers by {dev:.3e} > {atol:.3e}"
+    if dev > data.tol:
+        return dev, f"fusion coefficients deviate from integers by {dev:.3e} > {data.tol:.3e}"
     if where is not None:
         i, j, k = (data.labels[x] for x in where)
         return dev, f"negative fusion coefficient {lowest} at ({i}, {j}, {k})"
-    if np.any(handle_dev > mf.modular_data._integer_tolerance(atol, scale)):
+    if np.any(handle_dev > mf.modular_data._integer_tolerance(data.tol, scale)):
         return dev, f"handle operator deviates from integers by up to {handle_dev.max():.3e}"
     return dev, handle.astype(np.int64)
 
@@ -230,7 +229,7 @@ def full_check(data, atol=None):
 def reported_deviation(data):
     """The fusion deviation `verlinde_fusion` reports, read from its error at a tolerance nothing meets."""
     with pytest.raises(mf.NonIntegralFusion, match="fusion coefficients deviate") as info:
-        mf.verlinde_fusion(data, 1e-300)
+        mf.verlinde_fusion(_rebuild(data, tol=1e-300))
     return float(re.search(r"by (\S+) >", str(info.value)).group(1))
 
 
@@ -298,12 +297,13 @@ def test_fixed_point_families_match_full_check(tokens):
     assert np.array_equal(fusion.handle, handle)
     for j in range(data.n):
         assert np.array_equal(fusion.slice(j), slice_oracle(data, j))
-    # negative coefficients; then fusion within 0.1 of integers, the handle not
-    for bad, atol in ((_negated(data, data.labels[-1]), None), (_bent(data, 1, 0.02), 0.1)):
-        _dev, want = full_check(bad, atol)
+    # negative coefficients; then fusion within 0.01 of integers, the handle not
+    # (a tolerance of 0.1 would call su 4 4's least S_0r, 0.037, vanishing)
+    for bad in (_negated(data, data.labels[-1]), _rebuild(_bent(data, 1, 0.002), tol=0.01)):
+        _dev, want = full_check(bad)
         assert isinstance(want, str)
         with pytest.raises(mf.NonIntegralFusion) as info:
-            mf.verlinde_fusion(bad, atol)
+            mf.verlinde_fusion(bad)
         assert str(info.value) == want
     assert_reported_deviation_bounds(data, dev)
 
@@ -470,23 +470,23 @@ def test_row_blocks_give_the_same_tensor_and_errors(monkeypatch, family):
     flip[-1] = -1  # D S D: integral, but negative coefficients (see above), first in row 1's last block
     bent = S.copy()
     r = int(np.argmin(np.abs(S[0])))  # the largest handle weight S_0r^-2
-    bent[1, r] += 0.03
-    bent[r, 1] += 0.03
+    bent[1, r] += 0.003
+    bent[r, 1] += 0.003
     cases = {
-        "valid": (data, None),
-        "negative": (_rebuild(data, S=S * np.outer(flip, flip)), None),
-        "deviation": (_rebuild(data, tol=1e-20), None),  # what MF_TOL=1e-20 builds
-        "handle": (_rebuild(data, S=bent), 0.1),  # fusion within 0.1, handle not
+        "valid": data,
+        "negative": _rebuild(data, S=S * np.outer(flip, flip)),
+        "deviation": _rebuild(data, tol=1e-20),  # what MF_TOL=1e-20 builds
+        "handle": _rebuild(data, S=bent, tol=0.01),  # fusion within 0.01 (below every S_0r), handle not
     }
 
-    def outcome(bad, atol):
+    def outcome(bad):
         try:
-            fusion = mf.verlinde_fusion(bad, atol)
+            fusion = mf.verlinde_fusion(bad)
         except mf.NonIntegralFusion as exc:
             return str(exc)
         return fusion.handle.tolist(), [fusion.slice(j).tolist() for j in range(bad.n)]
 
-    whole = {name: outcome(*case) for name, case in cases.items()}
+    whole = {name: outcome(case) for name, case in cases.items()}
     assert isinstance(whole["valid"], tuple)
     assert whole["negative"].startswith("negative fusion coefficient")
     assert whole["handle"].startswith("handle operator deviates")
@@ -500,7 +500,7 @@ def test_row_blocks_give_the_same_tensor_and_errors(monkeypatch, family):
     # product, whose last bits differ from the matrix product's
     for rows in (2, 3, 5):
         monkeypatch.setattr(mf.modular_data, "_BLOCK", rows * data.n)
-        assert {name: outcome(*case) for name, case in cases.items()} == whole
+        assert {name: outcome(case) for name, case in cases.items()} == whole
 
 
 def handle_oracle(data, fusion):
@@ -521,7 +521,10 @@ def indicator_oracle(data, fusion, i):
 ORACLE_FAMILIES = builtin_tokens() + [("lie", "D", 4, 1)]
 
 
-@pytest.mark.parametrize("tokens", ORACLE_FAMILIES, ids=lambda t: " ".join(map(str, t)))
+# C 4 4 and C 3 6: a bound on the folded handle once refused them
+@pytest.mark.parametrize(
+    "tokens", ORACLE_FAMILIES + [("lie", "C", 4, 4), ("lie", "C", 3, 6)], ids=lambda t: " ".join(map(str, t))
+)
 def test_handle_matches_integer_oracle(tokens):
     data = get_family(*tokens)
     fusion = get_fusion(data)
@@ -659,21 +662,42 @@ def test_corrupt_entry_outside_the_folded_columns_is_caught(monkeypatch, tokens)
     S = data.S.copy()
     S[x, r] += 1e-9  # small enough that the currents are still read from S
     S[r, x] += 1e-9
-    bad = _rebuild(data, S=S)
-    atol = 2 * fusion.deviation  # the clean data passes at this tolerance
-    dev, outcome = full_check(bad, atol)
+    bad = _rebuild(data, S=S, tol=2 * fusion.deviation)  # the clean data passes at this tolerance
+    dev, outcome = full_check(bad)
     assert isinstance(outcome, str)
-    assert len(mf.verlinde_fusion(bad, 1e-3).currents) == len(fusion.currents)
+    assert len(mf.verlinde_fusion(_rebuild(bad, tol=1e-3)).currents) == len(fusion.currents)
     # the full handle deviates too, and the handle's bound must see it in the rows it permutes
     raw = (S * S[0] ** -2) @ S.conj().T
     scale = (np.abs(S) * np.abs(S[0] ** -2)) @ np.abs(S).T
-    assert np.any(np.abs(raw - np.round(raw.real)) > mf.modular_data._integer_tolerance(atol, scale))
+    assert np.any(np.abs(raw - np.round(raw.real)) > mf.modular_data._integer_tolerance(bad.tol, scale))
     with pytest.raises(mf.NonIntegralFusion, match="handle operator deviates"):
-        mf.verlinde_fusion(bad, atol)
+        mf.verlinde_fusion(bad)
     monkeypatch.setattr(mf.modular_data, "_integer_tolerance", lambda atol, scale: np.inf)
     with pytest.raises(mf.NonIntegralFusion, match="fusion coefficients deviate from integers by"):
-        mf.verlinde_fusion(bad, atol)
-    assert mf.verlinde_fusion(bad, 1e-3).deviation >= dev
+        mf.verlinde_fusion(bad)
+    assert mf.verlinde_fusion(_rebuild(bad, tol=1e-3)).deviation >= dev
+
+
+@pytest.mark.parametrize("tokens", [("su", 3, 2), ("su", 4, 2), ("lie", "C", 3, 1)], ids=lambda t: " ".join(map(str, t)))
+def test_phase_on_a_row_no_representative_reads_is_caught_by_the_moved_row_term(tokens):
+    # the handle is charge-diagonal, so the representative rows read a label x
+    # of a class without representatives only where they are 0: a phase on
+    # row x leaves every computed entry integral and breaks the rows moved onto x
+    data = get_family(*tokens)
+    fusion = mf.verlinde_fusion(data)
+    cls, _keys, _g = charge_classes(data, fusion.currents)
+    reps = np.flatnonzero(fusion.rep == np.arange(data.n))
+    x = int(np.flatnonzero(~np.isin(cls, cls[reps]))[-1])
+    S = data.S.copy()
+    S[x] *= np.exp(1e-9j)
+    bad = _rebuild(data, S=S)
+    assert len(mf.verlinde_fusion(_rebuild(bad, tol=1e-3)).currents) == len(fusion.currents)
+    raw = (S * S[0] ** -2) @ S.conj().T
+    scale = (np.abs(S) * np.abs(S[0] ** -2)) @ np.abs(S).T
+    over = np.abs(raw - np.round(raw.real)) > mf.modular_data._integer_tolerance(bad.tol, scale)
+    assert over[x].any() and not over[reps].any()
+    with pytest.raises(mf.NonIntegralFusion, match="handle operator deviates"):
+        mf.verlinde_fusion(bad)
 
 
 def test_unit_only_current_layer_gives_the_same_tensor_in_bounded_memory(monkeypatch):
@@ -707,18 +731,17 @@ def test_column_scaled_s_is_caught_by_its_asymmetry(monkeypatch, tokens):
     r = int(np.flatnonzero(rep != np.arange(data.n))[-1])
     S = data.S.copy()
     S[:, r] *= 1 + 1e-9
-    bad = _rebuild(data, S=S)
-    atol = 2 * fusion.deviation
-    dev, outcome = full_check(bad, atol)
+    bad = _rebuild(data, S=S, tol=2 * fusion.deviation)
+    dev, outcome = full_check(bad)
     assert outcome.startswith("fusion coefficients deviate")
-    assert len(mf.verlinde_fusion(bad, 1e-3).currents) == len(fusion.currents)
+    assert len(mf.verlinde_fusion(_rebuild(bad, tol=1e-3)).currents) == len(fusion.currents)
     with pytest.raises(mf.NonIntegralFusion, match="deviate"):
-        mf.verlinde_fusion(bad, atol)
+        mf.verlinde_fusion(bad)
     # the handle is blind to a scaled column, but its bound is not; blind it too
     monkeypatch.setattr(mf.modular_data, "_integer_tolerance", lambda atol, scale: np.inf)
     with pytest.raises(mf.NonIntegralFusion, match="fusion coefficients deviate"):
-        mf.verlinde_fusion(bad, atol)
-    assert mf.verlinde_fusion(bad, 1e-3).deviation >= dev
+        mf.verlinde_fusion(bad)
+    assert mf.verlinde_fusion(_rebuild(bad, tol=1e-3)).deviation >= dev
 
 
 def test_current_sets_must_be_groups():
