@@ -37,6 +37,7 @@ from .lie import (
 )
 from .modular_data import (
     DEFAULT_TOL,
+    CurrentLayer,
     FusionTensor,
     InvalidModularData,
     ModularData,
@@ -45,6 +46,7 @@ from .modular_data import (
     ValidationFailure,
     ValidationReport,
     anomaly_scalar,
+    current_layer,
     fs_indicators,
     gauss_sum_delta,
     global_D,

@@ -7,10 +7,13 @@ the group G of invertible labels, those i with i (x) dual(i) simple
 (Gelaki-Nikshych, "Nilpotent fusion categories", 2008): every character
 of U is the monodromy charge i -> S_gi S_00 / (S_0g S_0i) of exactly one
 g in G.  :func:`dual_group` therefore reads only the simple-current layer
-that :func:`verlinde_fusion` finds and certifies: G's multiplication
-table, from the label permutations sigma_g (``FusionTensor.currents``),
-and the integer charges of its members (``FusionTensor.charges``).  It
-reads neither S nor any fusion slice, and never the full fusion support.
+that :func:`~modfunctor.modular_data.current_layer` finds and certifies
+by the simple-current identity (I): G's multiplication table, from the
+label permutations sigma_g (``CurrentLayer.currents``), and the integer
+charges of its members (``CurrentLayer.charges``).  It reads neither S
+nor any Verlinde sum: no fusion slice, no handle, and never the full
+fusion support.  A :class:`~modfunctor.modular_data.FusionTensor` keeps
+the same layer, so it serves as well.
 The integer Smith normal form that presents the group, and whose left
 transform spans the kernel behind the certificate below, is computed in
 place in Python ints with sympy's pivot steps in sympy's order, and only
@@ -216,7 +219,7 @@ def _smith(matrix):
     return tuple(invs), np.array(left, dtype=object).reshape(rows, rows)
 
 
-def dual_group(data, fusion):
+def dual_group(data, layer):
     """Present the grading group as the dual of the group G of invertible labels.
 
     For modular data the universal grading group is dual to G
@@ -227,21 +230,23 @@ def dual_group(data, fusion):
     coordinates q_{g_j}(i) d_j / |G| mod d_j.  The invariant factors are
     canonical; the images are canonical only up to an automorphism of the
     group.  G, its multiplication g h = sigma_g(h) and the integer charges
-    q_g are ``fusion.currents`` and ``fusion.charges``, which
-    :func:`verlinde_fusion` found and certified while checking the fusion
-    rules; neither S nor any slice is read.
+    q_g are ``layer.currents`` and ``layer.charges``, which
+    :func:`~modfunctor.modular_data.current_layer` found and certified by
+    (I); `layer` is any object that has them, a
+    :class:`~modfunctor.modular_data.FusionTensor` too.  Neither S nor any
+    slice is read.
 
     Raises :class:`InvalidModularData`, naming both labels, when a charge
     of g_j is not a d_j-th root of unity, i.e. |G| does not divide
     q_{g_j}(i) d_j.
     """
-    group = sorted(fusion.currents)
+    group = sorted(layer.currents)
     pos = {g: a for a, g in enumerate(group)}
     rels = np.zeros((len(group) ** 2, len(group)), dtype=np.int64)
     for r, (g, h) in enumerate(product(group, group)):
         rels[r, pos[g]] += 1
         rels[r, pos[h]] += 1
-        rels[r, pos[int(fusion.currents[g][h])]] -= 1
+        rels[r, pos[int(layer.currents[g][h])]] -= 1
     invs, left = _smith(rels.T)
     kept = [a for a, d in enumerate(invs) if d > 1]
     factors = tuple(invs[a] for a in kept)
@@ -249,12 +254,12 @@ def dual_group(data, fusion):
     columns = []
     for j, d in enumerate(factors):
         g = by_coords[tuple(int(a == j) for a in range(len(factors)))]
-        k, off = np.divmod(fusion.charges[g] * d, len(group))
+        k, off = np.divmod(layer.charges[g] * d, len(group))
         if off.any():
             i = int(off.argmax())
             raise InvalidModularData(
                 f"monodromy charge of {data.labels[g]!r} on {data.labels[i]!r} is "
-                f"exp(2 pi i {fusion.charges[g][i]}/{len(group)}), not a {d}-th root of unity"
+                f"exp(2 pi i {layer.charges[g][i]}/{len(group)}), not a {d}-th root of unity"
             )
         columns.append(k.tolist())  # q in [0, |G|), so k in [0, d)
     image = {lab: tuple(col[i] for col in columns) for i, lab in enumerate(data.labels)}

@@ -39,8 +39,10 @@ from .families import FamilyError, builtin_families, parse_family
 from .fileio import FileFormatError, _pair, dumps_modular_data, modular_data_to_dict
 from .modular_data import (
     InvalidModularData,
+    NonIntegralFusion,
     ScaleLimit,
     ValidationFailure,
+    current_layer,
     fs_indicators,
     gauss_sum_delta,
     global_D,
@@ -235,8 +237,13 @@ def _char_values(data, chi):
 
 
 def _fundamental(data):
-    """The grading group of `data` and its fundamental symplectic character, or a certificate."""
-    pres = dual_group(data, verlinde_fusion(data))
+    """The grading group of `data` and its fundamental symplectic character, or a certificate.
+
+    Reads only the simple-current layer, certified by (I): no Verlinde sum,
+    no slice and no handle.  Fusion integrality is not checked here; a
+    `file` document got that check when it was loaded.
+    """
+    pres = dual_group(data, current_layer(data))
     return pres, find_fundamental_symplectic_character(data, pres)
 
 
@@ -417,6 +424,8 @@ def _cmd_verify(args, tol):
         except ValidationFailure as exc:  # loading a file checks the axioms: report them
             failed = ["axioms", *exc.report.violations]
             fams = [(" ".join(args.family), dict.fromkeys(failed, False))]
+        except NonIntegralFusion:  # and then the fusion rules, as _verify_family does
+            fams = [(" ".join(args.family), {"axioms": True, "fusion-integral": False})]
         else:
             fams = [(meta["family"], _verify_family(data))]
     else:

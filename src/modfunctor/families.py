@@ -9,16 +9,17 @@ A family is selected by whitespace tokens:
 `parse_family` turns tokens into modular data plus metadata suitable for
 export.  The `su` and `lie` builders run the structural checks of
 :class:`~modfunctor.modular_data.ModularData` only; `file` input is also
-put through :func:`~modfunctor.modular_data.validate_modular_data` when
-it is loaded.  The BUILTIN_* tables drive the verification
-commands and the test suite.
+put through :func:`~modfunctor.modular_data.validate_modular_data` and
+then :func:`~modfunctor.modular_data.verlinde_fusion` when it is loaded,
+so no command reads a document whose fusion rules are not integral.  The
+BUILTIN_* tables drive the verification commands and the test suite.
 """
 
 from __future__ import annotations
 
 from .fileio import load_modular_data
 from .lie import LieData, simple_lie_modular_data, su_modular_data
-from .modular_data import DEFAULT_TOL
+from .modular_data import DEFAULT_TOL, verlinde_fusion
 
 __all__ = [
     "FamilyError",
@@ -55,14 +56,16 @@ BUILTIN_LIE = tuple(
 def parse_family(tokens, tol=None):
     """Resolve family tokens to (ModularData, metadata dict).
 
-    Raises FamilyError for malformed tokens; construction errors from the
-    underlying builders propagate unchanged.
+    With no `tol`, `su` and `lie` use DEFAULT_TOL and a document its
+    `metadata.tol` (DEFAULT_TOL when it has none).  Raises FamilyError for
+    malformed tokens; construction errors from the underlying builders, and
+    a document's failed validation or fusion check, propagate unchanged.
     """
     tokens = [str(t) for t in tokens]
     if not tokens:
         raise FamilyError("empty family; expected 'su N k', 'lie TYPE RANK LEVEL' or 'file PATH'")
     kind = tokens[0].lower()
-    if tol is None:
+    if tol is None and kind != "file":  # a document reads its own
         tol = DEFAULT_TOL
     if kind == "su":
         if len(tokens) != 3:
@@ -88,6 +91,7 @@ def parse_family(tokens, tol=None):
         if len(tokens) != 2:
             raise FamilyError("usage: file <path>")
         data = load_modular_data(tokens[1], tol=tol)
+        verlinde_fusion(data)
         return data, {"family": f"file {tokens[1]}"}
     raise FamilyError(f"unknown family kind {tokens[0]!r}; expected su, lie or file")
 

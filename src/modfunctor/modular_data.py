@@ -6,12 +6,13 @@ twist for every label.  Everything else in the package (fusion rules,
 state-space dimensions, character groups, scaling solvers) is computed
 from these four pieces of data.  The handle operator ``FusionTensor.handle``
 and the indicators (:func:`fs_indicators`) are closed forms in S.
-:func:`verlinde_fusion` reads the group of invertible labels (simple
+:func:`current_layer` reads the group of invertible labels (simple
 currents), their label permutations and the monodromy charge of every
 label from the rows of S, and certifies them by the simple-current
-identity of S on every entry.  It then runs every Verlinde sum on charge
-blocks: only over the columns whose charges balance, with the sum over r
-folded onto orbit representatives.  It checks once per pair of orbit
+identity of S on every entry; that layer is all the grading group needs.
+:func:`verlinde_fusion` reads the same layer and runs every Verlinde sum
+on charge blocks: only over the columns whose charges balance, with the
+sum over r folded onto orbit representatives.  It checks once per pair of orbit
 representatives, bounds every other coefficient, and returns a
 :class:`FusionTensor`.  The library reads it only by slice N[:, j, :],
 each built when first read and, for a label that does not represent its
@@ -50,6 +51,8 @@ __all__ = [
     "global_D",
     "gauss_sum_delta",
     "anomaly_scalar",
+    "CurrentLayer",
+    "current_layer",
     "verlinde_fusion",
     "fs_indicators",
 ]
@@ -196,19 +199,14 @@ class FusionTensor:
     column sum.
 
     The simple-current layer that :func:`verlinde_fusion` certified is kept
-    as it was found there.  `currents` maps each invertible label J (simple
-    current, the unit included) to its label permutation
-    sigma_J(x) = J (x) x, a read-only int64 array; together they form the
-    group G, and g h = sigma_g(h).  `charges` maps each J to the read-only
-    int64 array of monodromy charges q_J(x) in [0, |G|): the monodromy of
-    J on x is exp(2 pi i q_J(x) / |G|).  `rep[x]` is the representative of
-    x's orbit, its least label, and `via[x]` the current J with
-    x = sigma_J(rep[x]).  `slice_of(r)` is called only for a representative
-    r.  For a label j = sigma_J(r) whose representative r is another label,
-    `slice(j)` is the column permutation N_j[:, sigma_J(y)] = N_r[:, y] of
-    the cached `slice(r)`, and `column_max[j]` is `column_max[r]`.  On a
-    tensor built by hand every label represents itself: `currents` and
-    `charges` are empty and `via` is None.  `deviation` is the fusion
+    as it was found there: `currents`, `charges`, `rep` and `via` are those
+    of :class:`CurrentLayer`.  `slice_of(r)` is called only for a
+    representative r.  For a label j = sigma_J(r) whose representative r
+    is another label, `slice(j)` is the column permutation
+    N_j[:, sigma_J(y)] = N_r[:, y] of the cached `slice(r)`, and
+    `column_max[j]` is `column_max[r]`.  On a tensor built by hand every
+    label represents itself: `currents` and `charges` are empty and `via`
+    is None.  `deviation` is the fusion
     deviation that :func:`verlinde_fusion` compared with its tolerance: the
     largest measured deviation of a representative pair plus the derived
     bounds for every other coefficient (None on a tensor built by hand).
@@ -410,7 +408,7 @@ def _simple_currents(S, z):
     match, relative to the largest key.  Each member is named by
     sigma_J(0) = J, and the members must form a group (:func:`_is_group`);
     otherwise G is the unit alone, and every label is its own orbit.
-    :func:`verlinde_fusion` certifies every member by (I).
+    :func:`current_layer` and :func:`verlinde_fusion` check every member by (I).
     """
     n = len(S)
     row0 = S[z]
@@ -438,32 +436,142 @@ def _is_group(P, z):
     return bool((P[:, P] == P[pos[P[:, P[:, z]]]]).all())
 
 
-def _current_pass(S, z, P):
-    """(Q, bound, moved) of :func:`verlinde_fusion`, with (I) checked on every entry of S.
+def _unit_row(S, z):
+    """Row z of S, the divisor of every psi_J and Verlinde sum.
 
-    P is :func:`_simple_currents`.  Q[a, x] is the charge q_J(x) of label x
-    under J = P[a, z]; `bound` is orbit + fold + skip; `moved` is
+    An entry vanishes when it is within n u of the row's largest entry, the
+    rounding of a sum of n terms of that size, whatever `data.tol` is.
+    """
+    row0 = S[z]
+    size = np.abs(row0)
+    if size.min() <= len(S) * _UNIT_ROUNDOFF * size.max():
+        raise NonIntegralFusion("a unit-row S entry vanishes; Verlinde sum undefined")
+    return row0
+
+
+def _charges(S, z, P):
+    """(Psi, phi, turns, Q) of the currents P (:func:`_simple_currents`), J = P[a, z].
+
+    Psi[a, r] = psi_J(r) = S_{Jr} / S_{0r}, phi_J = psi_J / psi_J(0),
+    turns = |G| arg(phi_J) / 2 pi and Q = round(turns) mod |G|, the charges
+    q_J as floats.
+    """
+    g = len(P)
+    Psi = S[P[:, z]] / S[z]
+    phi = Psi / Psi[:, z, None]
+    turns = np.arctan2(phi.imag, phi.real) * (g / (2 * np.pi))
+    return Psi, phi, turns, np.rint(turns) % g
+
+
+def _residuals(S, P, Psi):
+    """Row blocks (x0, rows, residual) of (I): residual[a, e, r] = |S_{sigma_J(x), r} - psi_J(r) S_{xr}|.
+
+    x = x0 + e runs over the labels and J = P[a, z] over the currents, so
+    every entry of S is visited for every J; `rows` is S[x0 : x0 + len(rows)].
+    """
+    g, n = P.shape
+    # blocks of at most max(n^2, 2^12) entries over all currents, and at most `_BLOCK`
+    step = max(1, min(_BLOCK, max(n * n, 1 << 12)) // (g * n))
+    for x0 in range(0, n, step):
+        rows = S[x0 : x0 + step]
+        residual = S[P[:, x0 : x0 + step]]
+        for a, psi in enumerate(Psi):  # one current at a time keeps the product's temporary 1/|G| of the block
+            residual[a] -= rows * psi
+        residual = np.abs(residual)  # the complex block is freed before the caller reads this one
+        yield x0, rows, residual
+
+
+@dataclass(frozen=True)
+class CurrentLayer:
+    """The simple currents of modular data and their monodromy charges.
+
+    `currents` maps each invertible label J (simple current, the unit
+    included) to its label permutation sigma_J(x) = J (x) x, a read-only
+    int64 array; together they form the group G, and g h = sigma_g(h).
+    `charges` maps each J to the read-only int64 array of monodromy charges
+    q_J(x) in [0, |G|): the monodromy of J on x is exp(2 pi i q_J(x) / |G|).
+    `rep[x]` is the representative of x's orbit, its least label, and
+    `via[x]` the current J with x = sigma_J(rep[x]).
+    """
+
+    currents: dict
+    charges: dict
+    rep: np.ndarray
+    via: np.ndarray
+
+
+def _layer(P, Q, z):
+    """The :class:`CurrentLayer` of the currents P with the float charges Q."""
+    P.setflags(write=False)
+    Q = Q.astype(np.int64)
+    Q.setflags(write=False)
+    rep = P.min(axis=0)
+    via = np.empty(P.shape[1], dtype=np.int64)
+    via[P[:, rep]] = P[:, z, None]  # sigma_J(rep[x]) = x; at a fixed point any such J serves
+    names = P[:, z].tolist()
+    return CurrentLayer(dict(zip(names, P)), dict(zip(names, Q)), rep, via)
+
+
+def current_layer(data):
+    """The :class:`CurrentLayer` of `data`, certified by (I) on every entry of S.
+
+    :func:`_simple_currents` finds the group G and its permutations; then
+    every residual of (I) of :func:`verlinde_fusion`,
+    S_{sigma_J(x), r} = psi_J(r) S_{xr}, over every entry of S and every J,
+    and every distance |phi_J(x) - exp(2 pi i q_J(x) / |G|)| of a charge
+    from its |G|-th root of unity, must be at most `data.tol`; otherwise
+    :class:`InvalidModularData` names (I) and the largest of them.  A label
+    whose |dim| lies within `data.tol` of 1 is invertible in a unitary
+    category, so one that :func:`_simple_currents` left out of G fails (I)
+    as well, and is named.  For modular data G is dual to the grading group
+    (Gelaki-Nikshych), so this is all that
+    :func:`~modfunctor.characters.dual_group` reads.  Neither the Verlinde
+    sums nor the handle are computed: integrality of the fusion rules is
+    :func:`verlinde_fusion`'s check.  Raises :class:`NonIntegralFusion`
+    when a unit-row entry vanishes.
+    """
+    S, tol = data.S, data.tol
+    z = data.index(data.zero)
+    row0 = _unit_row(S, z)
+    P = _simple_currents(S, z)
+    lone = np.abs(np.abs(row0 / row0[z]) - 1) <= tol
+    lone[P[:, z]] = False
+    if lone.any():
+        raise InvalidModularData(
+            f"(I) fails for label {data.labels[lone.argmax()]!r}: its |dim| is 1 within {tol:.3e}, "
+            "but no permutation of the labels matches its rows of S"
+        )
+    Psi, phi, _turns, Q = _charges(S, z, P)
+    worst = np.abs(phi - np.exp(2j * np.pi / len(P) * Q)).max()
+    for _x0, _rows, residual in _residuals(S, P, Psi):
+        worst = max(worst, residual.max())
+    if not worst <= tol:
+        raise InvalidModularData(
+            f"simple currents fail (I), S_(J x, r) = psi_J(r) S_(x, r) with charges at |G|-th roots of unity, "
+            f"by {worst:.3e} > {tol:.3e}"
+        )
+    return _layer(P, Q, z)
+
+
+def _current_pass(S, z, P, Psi, turns):
+    """(bound, moved) of :func:`verlinde_fusion`, from the residuals of (I) on every entry of S.
+
+    P is :func:`_simple_currents` and (Psi, turns) come from
+    :func:`_charges`.  `bound` is orbit + fold + skip; `moved` is
     (u, h, w, rho) with u = nu h + p rho and w = p h + rho, so that handle
     entry (sigma_J(x), sigma_J(y)) is within u_x h_y + w_x rho_y of entry
-    (x, y).  With G = {0} the charges, `bound` and `moved` are 0: there the
-    gap 2 sin(pi / |G|) is 0 (2.4e-16 in floats), and `bound` divides by
-    it.  When nu leaves no room for the derivation `bound` is infinite.
-    Works in row blocks.
+    (x, y).  With G = {0}, `bound` and `moved` are 0: there the gap
+    2 sin(pi / |G|) is 0 (2.4e-16 in floats), and `bound` divides by it.
+    When nu leaves no room for the derivation `bound` is infinite.
     """
     g, n = P.shape
     if g == 1:
         zero = np.zeros(n)
-        return np.zeros((1, n), dtype=np.int64), 0.0, (zero, zero, zero, zero)
+        return 0.0, (zero, zero, zero, zero)
     row0 = S[z]
-    Psi = S[P[:, z]] / row0  # Psi[a, r] = psi_J(r)
-    t = Psi[:, z]
-    phi = Psi / t[:, None]
-    turns = np.arctan2(phi.imag, phi.real) * (g / (2 * np.pi))
-    Q = np.rint(turns)
     # |phi - exp(2 pi i q / |G|)| <= ||phi| - 1| + |arg phi - 2 pi q / |G||, ||phi| - 1| <= 2 nu / (1 - nu);
     # 16 u of angle covers the rounding of arctan2 and of the scaling to turns
-    frac = np.abs(turns - Q).max() * (2 * np.pi / g) + 16 * _UNIT_ROUNDOFF
-    Q %= g
+    frac = np.abs(turns - np.rint(turns)).max() * (2 * np.pi / g) + 16 * _UNIT_ROUNDOFF
     mod = np.abs(Psi)
     top = mod.max()
     nu = max(top * top - 1, 1 - mod.min() ** 2)
@@ -473,36 +581,31 @@ def _current_pass(S, z, P):
     weights = np.array((inv0, inv0sq)).T
     m = s2 = eps = delta = eta = 0.0
     h2, rho2 = np.empty(n), np.empty(n)
-    # blocks of at most max(n^2, 2^12) entries over all currents, and at most `_BLOCK`
-    step = max(1, min(_BLOCK, max(n * n, 1 << 12)) // (g * n))
-    for x0 in range(0, n, step):
-        rows = S[x0 : x0 + step]
+    for x0, rows, residual in _residuals(S, P, Psi):
+        x1 = x0 + len(rows)
         a2 = np.abs(rows) ** 2
         s2 = max(s2, a2.max())
         sums = a2 @ weights
         m = max(m, sums[:, 0].max())
-        h2[x0 : x0 + step] = sums[:, 1]
-        eps = max(eps, np.abs(rows - S[:, x0 : x0 + step].T).max())
-        residual = S[P[:, x0 : x0 + step]]
-        residual -= rows * Psi[:, None]
-        residual = np.abs(residual)  # of (I), entry by entry
+        h2[x0:x1] = sums[:, 1]
+        eps = max(eps, np.abs(rows - S[:, x0:x1].T).max())
         delta = max(delta, residual.max())
-        eta = max(eta, (residual[:, :, z] * inv0[x0 : x0 + step]).max())
-        rho2[x0 : x0 + step] = (residual * residual).sum(axis=0) @ inv0sq  # weighted row norms, summed over G
+        eta = max(eta, (residual[:, :, z] * inv0[x0:x1]).max())
+        rho2[x0:x1] = (residual * residual).sum(axis=0) @ inv0sq  # weighted row norms, summed over G
     h, rho = np.sqrt(h2), np.sqrt(rho2)
     moved = (nu * h + p * rho, h, p * h + rho, rho)
     s = math.sqrt(s2)
     eta += (1 + p) * eps * inv0.max()  # |S_{0, sigma_J(r)} - t S_{0r}| <= residual at (r, 0) + (1 + p) eps
     gap = 2 * math.sin(math.pi / g)
     if not nu < min(gap, 1):
-        return Q, math.inf, moved
+        return math.inf, moved
     kappa = 2 * nu / (1 - nu) + frac
     de = delta + (1 + p) * eps + p * kappa * s
     tau = p * (1 + eta)
     orbit = m * ((3 + p) * delta + s * (nu + 8 * (n + 8) * _UNIT_ROUNDOFF))
     fold = m * ((g - 1) * (nu * s + 3 * de * tau) + eta * s)
     skip = m * (3 * de * tau + eta * s) / (gap - nu)
-    return Q, float(orbit + fold + skip), moved
+    return float(orbit + fold + skip), moved
 
 
 def verlinde_fusion(data):
@@ -526,7 +629,9 @@ def verlinde_fusion(data):
 
     :func:`_simple_currents` reads the group G of these labels and their
     permutations from S.  (I) is checked on every entry of S for every J in
-    G; delta is its largest residual, nu = max | |psi_J(r)|^2 - 1 | and
+    G, by the one pass of residuals that :func:`current_layer` reads too,
+    but with no threshold of its own: here a residual enters the bounds
+    below.  delta is its largest residual, nu = max | |psi_J(r)|^2 - 1 | and
     p = max(1, max |psi_J(r)|).  Each label is sigma_a(i) for some a in G
     and the least label i of its orbit, its representative.
 
@@ -639,14 +744,13 @@ def verlinde_fusion(data):
     """
     S, tol = data.S, data.tol
     z = data.index(data.zero)
-    row0 = S[z, :]
-    if np.abs(row0).min() <= tol:
-        raise NonIntegralFusion("a unit-row S entry vanishes; Verlinde sum undefined")
+    row0 = _unit_row(S, z)
     n = data.n
     step = max(1, _BLOCK // n)
 
     P = _simple_currents(S, z)
-    Q, bound, moved = _current_pass(S, z, P)
+    Psi, _phi, turns, Q = _charges(S, z, P)
+    bound, moved = _current_pass(S, z, P, Psi, turns)
     g, rep = len(P), P.min(axis=0)
     reps = (rep == np.arange(n)).nonzero()[0]
 
@@ -737,9 +841,7 @@ def verlinde_fusion(data):
             f"({data.labels[i]}, {data.labels[j]}, {data.labels[k]})"
         )
 
-    P.setflags(write=False)
-    Q = Q.astype(np.int64)  # finite now: the deviation check passed
-    Q.setflags(write=False)
+    layer = _layer(P, Q, z)  # the charges are finite now: the deviation check passed
     balanced = add[cls].T  # balanced[c, x] = class x + class c
 
     def slice_of(r):
@@ -750,10 +852,7 @@ def verlinde_fusion(data):
         return out
 
     fusion = FusionTensor(data.labels, slice_of, handle)
-    fusion.currents = dict(zip(P[:, z].tolist(), P))
-    fusion.charges = dict(zip(P[:, z].tolist(), Q))
-    fusion.rep, fusion.via = rep, np.empty(n, dtype=np.int64)
-    fusion.via[P[:, rep]] = P[:, z, None]  # sigma_J(rep[x]) = x; at a fixed point any such J serves
+    fusion.currents, fusion.charges, fusion.rep, fusion.via = layer.currents, layer.charges, layer.rep, layer.via
     fusion.deviation = dev
     return fusion
 

@@ -108,6 +108,17 @@ def test_twisted_charge_is_refused_by_the_fusion_check(su22):
     data = mf.ModularData(su22.labels, su22.zero, su22.dual, S, su22.theta, tol=su22.tol)
     with pytest.raises(mf.NonIntegralFusion, match="handle operator deviates from integers by up to 1.414e-01"):
         mf.verlinde_fusion(data)
+    # the layer alone refuses it by (I): "2" has dimension 1, but its rows match no permutation
+    with pytest.raises(mf.InvalidModularData, match=r"^\(I\) fails for label '2': its \|dim\| is 1 within 1.000e-09"):
+        mf.current_layer(data)
+    # a twist small enough for the key match leaves "2" in G, and its residual of (I) is measured:
+    # row sigma_2(2) = 0 is psi_2 S_2 only up to e^{2i eps}, |e^{2i eps} - 1| S_01 = 2 eps / sqrt 2
+    S = su22.S.copy()
+    S[g, i] *= np.exp(1e-10j)
+    S[i, g] *= np.exp(1e-10j)
+    data = mf.ModularData(su22.labels, su22.zero, su22.dual, S, su22.theta, tol=1e-12)
+    with pytest.raises(mf.InvalidModularData, match=r"^simple currents fail \(I\).* by 1.414e-10 > 1.000e-12$"):
+        mf.current_layer(data)
 
 
 def test_charge_off_the_invariant_factor_roots_is_rejected():

@@ -17,6 +17,7 @@ import modfunctor as mf
 from modfunctor import cli, modular_data
 from modfunctor.cli import UsageError, main, parse_surface_literal, run_command
 from conftest import builtin_tokens, get_family
+from lie_oracle import lattice_fundamental_group
 
 
 # the keys of every family's "checks" in verify's --json output, in order
@@ -278,6 +279,17 @@ def test_verify_file_failing_validation_fails_checks(tmp_path):
 
 
 def test_info_and_canonical_scaling_build_no_fusion_tensor(monkeypatch):
+    # the reference outputs: the same commands on the layer that the fusion tensor keeps
+    layer_argvs = [
+        [*prefix, command, *family, *mode]
+        for family in (["su", "4", "5"], ["lie", "D", "4", "2"])
+        for command, mode in (("characters", []), ("scaling", ["--mode", "strict"]))
+        for prefix in ([], ["--json"])
+    ]
+    monkeypatch.setattr(cli, "current_layer", mf.verlinde_fusion)
+    via_fusion = [run_command(argv) for argv in layer_argvs]
+    monkeypatch.undo()
+
     def refuse(data):
         raise AssertionError("verlinde_fusion called")
 
@@ -285,6 +297,97 @@ def test_info_and_canonical_scaling_build_no_fusion_tensor(monkeypatch):
     monkeypatch.setattr(modular_data, "verlinde_fusion", refuse)
     assert run_command(["info", "su", "4", "5"])[0] == 0
     assert run_command(["scaling", "su", "4", "5", "--mode", "canonical"])[0] == 0
+    for argv, (code, report) in zip(layer_argvs, via_fusion):
+        assert code == 0, report.human
+        assert run_command(argv)[1].human == report.human, argv
+
+
+# lie families whose Verlinde check fails in floats (the handle deviates), with
+# the invariant factors of their grading group, the centre of the simply connected group
+REFUSED_LIE = {("B", 3, 15): [2], ("G", 2, 50): [], ("C", 4, 5): [2], ("A", 2, 40): [3]}
+
+
+@pytest.mark.parametrize("family", sorted(REFUSED_LIE), ids=lambda t: " ".join(map(str, t)))
+def test_characters_and_strict_scaling_need_only_the_current_layer(family):
+    tokens = ["lie", *map(str, family)]
+    data = get_family(*tokens)
+    with pytest.raises(mf.NonIntegralFusion, match="handle operator deviates"):
+        mf.verlinde_fusion(data)
+    code, report = run_command(["characters", *tokens])
+    assert code == 0, report.human
+    factors = report.machine["invariant_factors"]
+    assert factors == REFUSED_LIE[family]
+    assert tuple(factors) == lattice_fundamental_group(mf.LieData(*family).cartan).invariant_factors
+    assert report.machine["fundamental_symplectic"] is not None
+    code, report = run_command(["scaling", *tokens, "--mode", "strict"])
+    assert code == 0, report.human
+    code, report = run_command(["dims", *tokens, "--surface", "g=1[]"])
+    assert code == 2
+    assert "handle operator deviates" in report.machine["error"]
+
+
+@pytest.mark.parametrize("family, torus", [(("4", "3"), 20), (("4", "4"), 35), (("6", "3"), 56)])
+def test_loose_tolerance_does_not_call_a_unit_row_entry_zero(monkeypatch, family, torus):
+    # MF_TOL=0.1 lies above the least |S_0r| of each (0.084 on su 4 3)
+    monkeypatch.setenv("MF_TOL", "0.1")
+    data = get_family("su", *family)
+    assert np.abs(data.S[data.index(data.zero)]).min() < 0.1
+    code, report = run_command(["dims", "su", *family, "--surface", "g=1[]"])
+    assert code == 0, report.human
+    assert report.machine["state_dim"] == report.machine["state_dim_verlinde"] == torus
+
+
+def _export(tmp_path, family, tol=None):
+    """Path of the exported document of `family`, with its metadata.tol set to `tol` if given."""
+    code, report = run_command(["export", *family])
+    assert code == 0
+    doc = json.loads(report.human)
+    if tol is not None:
+        doc["metadata"]["tol"] = tol
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_file_input_uses_its_metadata_tol_unless_mf_tol_is_set(monkeypatch, tmp_path):
+    path = _export(tmp_path, ["su", "2", "2"], tol=1e-13)
+    code, report = run_command(["info", "file", path])
+    assert code == 0 and report.machine["tol"] == 1e-13
+    assert mf.parse_family(["file", path])[0].tol == 1e-13
+    assert mf.parse_family(["su", "2", "2"])[0].tol == mf.DEFAULT_TOL
+    monkeypatch.setenv("MF_TOL", "1e-10")
+    code, report = run_command(["info", "file", path])
+    assert code == 0 and report.machine["tol"] == 1e-10
+    code, report = run_command(["info", "su", "2", "2"])
+    assert code == 0 and report.machine["tol"] == 1e-10
+
+
+@pytest.mark.parametrize("route", ["metadata", "MF_TOL"])
+def test_file_with_nonintegral_fusion_is_refused_at_load(monkeypatch, tmp_path, route):
+    # su 4 4 passes validation at 1e-13, but its fusion deviation is 3.4e-13
+    if route == "metadata":
+        path = _export(tmp_path, ["su", "4", "4"], tol=1e-13)
+    else:
+        path = _export(tmp_path, ["su", "4", "4"])
+        monkeypatch.setenv("MF_TOL", "1e-13")
+    data = mf.load_modular_data(path, tol=1e-13)
+    assert mf.validate_modular_data(data).ok
+    for argv in (
+        ["info"],
+        ["export"],
+        ["characters"],
+        ["scaling", "--mode", "canonical"],
+        ["scaling", "--mode", "strict"],
+        ["dims", "--surface", "g=1[]"],
+    ):
+        code, report = run_command([argv[0], "file", path, *argv[1:]])
+        assert code == 2, argv
+        error = report.machine["error"]
+        assert error.startswith("fusion coefficients deviate from integers by "), argv
+        assert 1e-13 < float(error.split()[6]) < 1e-12, error
+    code, report = run_command(["--json", "verify", "file", path])
+    assert code == 1
+    assert report.machine["families"][f"file {path}"]["checks"] == {"axioms": True, "fusion-integral": False}
 
 
 def test_dims_characters_strict_scaling_read_no_dense_tensor(monkeypatch):

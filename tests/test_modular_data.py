@@ -298,7 +298,6 @@ def test_fixed_point_families_match_full_check(tokens):
     for j in range(data.n):
         assert np.array_equal(fusion.slice(j), slice_oracle(data, j))
     # negative coefficients; then fusion within 0.01 of integers, the handle not
-    # (a tolerance of 0.1 would call su 4 4's least S_0r, 0.037, vanishing)
     for bad in (_negated(data, data.labels[-1]), _rebuild(_bent(data, 1, 0.002), tol=0.01)):
         _dev, want = full_check(bad)
         assert isinstance(want, str)
@@ -476,7 +475,7 @@ def test_row_blocks_give_the_same_tensor_and_errors(monkeypatch, family):
         "valid": data,
         "negative": _rebuild(data, S=S * np.outer(flip, flip)),
         "deviation": _rebuild(data, tol=1e-20),  # what MF_TOL=1e-20 builds
-        "handle": _rebuild(data, S=bent, tol=0.01),  # fusion within 0.01 (below every S_0r), handle not
+        "handle": _rebuild(data, S=bent, tol=0.01),  # fusion within 0.01, handle not
     }
 
     def outcome(bad):
@@ -742,6 +741,38 @@ def test_column_scaled_s_is_caught_by_its_asymmetry(monkeypatch, tokens):
     with pytest.raises(mf.NonIntegralFusion, match="fusion coefficients deviate"):
         mf.verlinde_fusion(bad)
     assert mf.verlinde_fusion(_rebuild(bad, tol=1e-3)).deviation >= dev
+
+
+@pytest.mark.parametrize("tokens", DISTINCT_FAMILIES + [("lie", "D", 4, 1), ("su", 6, 3)], ids=lambda t: " ".join(map(str, t)))
+def test_current_layer_is_the_layer_the_fusion_tensor_keeps(tokens):
+    data = get_family(*tokens)
+    layer, fusion = mf.current_layer(data), get_fusion(data)
+    assert list(layer.currents) == list(fusion.currents) and list(layer.charges) == list(fusion.charges)
+    for J, sigma in layer.currents.items():
+        assert np.array_equal(sigma, fusion.currents[J]) and not sigma.flags.writeable
+        assert np.array_equal(layer.charges[J], fusion.charges[J]) and not layer.charges[J].flags.writeable
+        assert layer.charges[J].dtype == np.int64
+    assert np.array_equal(layer.rep, fusion.rep) and np.array_equal(layer.via, fusion.via)
+
+
+def test_zero_unit_row_entry_is_refused_at_any_tolerance(su22):
+    S = su22.S.copy()
+    S[0, 1] = S[1, 0] = 0
+    for tol in (1e-9, 1e-300):
+        bad = _rebuild(su22, S=S, tol=tol)
+        for route in (mf.verlinde_fusion, mf.current_layer):
+            with pytest.raises(mf.NonIntegralFusion, match="a unit-row S entry vanishes; Verlinde sum undefined"):
+                route(bad)
+
+
+@pytest.mark.parametrize("tokens", [("su", 4, 3), ("su", 4, 4), ("su", 6, 3)], ids=lambda t: " ".join(map(str, t)))
+def test_unit_row_guard_reads_no_tolerance(tokens):
+    # a tolerance of 0.1 lies above the least |S_0r| (0.084 on su 4 3), which is no zero
+    data = get_family(*tokens)
+    loose = _rebuild(data, tol=0.1)
+    assert np.abs(data.S[data.index(data.zero)]).min() < loose.tol
+    assert np.array_equal(mf.verlinde_fusion(loose).handle, get_fusion(data).handle)
+    assert list(mf.current_layer(loose).currents) == list(get_fusion(data).currents)
 
 
 def test_current_sets_must_be_groups():
