@@ -48,7 +48,7 @@ __all__ = [
 _SU_MAX_N = 6
 _SU_MAX_K = 8
 _LIE_TERM_CAP = 10**7
-_FILL_BLOCK = 1 << 13  # entries per block: rows of the su S fill, or Weyl elements of the Lie sum
+_FILL_BLOCK = 1 << 13  # entries per block: su determinants or S fill rows, or Weyl elements of the Lie sum
 
 
 # ---------------------------------------------------------------------------
@@ -56,37 +56,37 @@ _FILL_BLOCK = 1 << 13  # entries per block: rows of the su S fill, or Weyl eleme
 
 
 def young_label(rows):
-    """Canonical label string: row lengths joined by '.', the empty diagram is "0"."""
-    if not rows:
-        return "0"
-    return ".".join(str(r) for r in rows)
+    """Canonical label string: the positive row lengths joined by '.', the empty diagram is "0"."""
+    return ".".join([str(r) for r in rows if r]) or "0"
 
 
 def su_level_labels(N, k):
     """Row tuples of the diagrams with fewer than N rows and first row at most k.
 
-    Sorted by size then lexicographically by rows; the unit (empty tuple)
-    comes first.  The count is binomial(N - 1 + k, k).
+    Sorted by size then lexicographically by rows; the unit (empty tuple) comes first.  The count
+    is binomial(N - 1 + k, k).  Read off :func:`_su_weight_vectors`, the one enumeration.
     """
-    if N < 2:
-        raise InvalidModularData("N must be at least 2")
-    if k < 0:
-        raise InvalidModularData("level must be nonnegative")
-    # each multiset of N - 1 rows from k..0, drawn in weakly decreasing order
-    out = [tuple(r for r in rows if r) for rows in combinations_with_replacement(range(k, -1, -1), N - 1)]
-    out.sort(key=lambda rows: (sum(rows), rows))
-    return out
+    X = _su_weight_vectors(N, k)
+    return [tuple(r for r in rows if r) for rows in (X - X[0]).tolist()]
 
 
 # ---------------------------------------------------------------------------
 # Special-unitary modular data via shifted parts
 
 
-def _su_weight_vectors(N, labels):
-    """Shifted-parts vectors lambda + rho in the N-coordinate model, as int64."""
-    X = np.zeros((len(labels), N), dtype=np.int64)
-    for a, lam in enumerate(labels):
-        X[a, : len(lam)] = lam
+def _su_weight_vectors(N, k):
+    """Shifted-parts vectors lambda + rho of the level set, in :func:`su_level_labels` order, as int64.
+
+    Each multiset of N - 1 rows from k..0, drawn in weakly decreasing order, is a diagram; drawn in
+    descending order of rows, they are reversed and stably sorted by size.  No numpy sort runs: its
+    first call would page in code that no later step of a small family reads (about 0.13 MB of RSS).
+    """
+    if N < 2:
+        raise InvalidModularData("N must be at least 2")
+    if k < 0:
+        raise InvalidModularData("level must be nonnegative")
+    X = np.zeros((math.comb(N - 1 + k, k), N), dtype=np.int64)  # l_N = 0 pads the rows
+    X[:, :-1] = sorted(reversed(list(combinations_with_replacement(range(k, -1, -1), N - 1))), key=sum)
     return X + np.arange(N - 1, -1, -1, dtype=np.int64)
 
 
@@ -133,6 +133,21 @@ def _su_orbits(X, kappa):
     return where, where[((b >> X) | (b << (kappa - X))) & ((1 << kappa) - 1)]
 
 
+def _su_core(Xr, kappa):
+    """S up to one scalar between the r shifted parts Xr (:func:`su_modular_data`), with r (r + 1)/2 determinants."""
+    res = np.arange(kappa)
+    phase = _roots_of_unity(kappa, -1)[np.outer(res, res) % kappa]  # phase[l, m] = e^{-2 pi i l m/kappa}
+    core = np.empty((len(Xr), len(Xr)), dtype=complex)
+    i, j = np.nonzero(np.arange(len(Xr))[:, None] <= np.arange(len(Xr)))  # the upper triangle, row by row
+    step = max(1, _FILL_BLOCK // Xr.shape[1] ** 2)  # pairs per batch: at most `_FILL_BLOCK` matrix entries
+    for p in range(0, len(i), step):
+        a, b = i[p : p + step], j[p : p + step]
+        core[a, b] = core[b, a] = np.linalg.det(phase[Xr[a, :, None], Xr[b, None, :]])
+    sr = Xr.sum(axis=1)
+    core *= _roots_of_unity(Xr.shape[1] * kappa, 1)[np.outer(sr, sr) % (Xr.shape[1] * kappa)]
+    return core
+
+
 def su_modular_data(N, k, tol=DEFAULT_TOL):
     """Modular data of the special-unitary family of rank N at level k.
 
@@ -169,24 +184,26 @@ def su_modular_data(N, k, tol=DEFAULT_TOL):
         S_{x,y} = zeta^E S_{i,j},  zeta = e^{pi i/N},
         E = N w_x (N - w_x) + N w_y (N - w_y) + 2 w_x |m_y| + 2 w_y |l_i|  (mod 2N).
 
-    Only the r (r + 1)/2 pairs i <= j of the r representatives take a
-    determinant, one batch per representative row, mirrored.  Every entry
-    is then one product of a table entry and a representative entry, filled
-    in row blocks of at most `_FILL_BLOCK` entries.  E is symmetric in x
-    and y as an integer mod 2N, because |m_y| - |m_j| = kappa w_y and
-    |l_x| - |l_i| = kappa w_x (mod N), so S is exactly symmetric.  Where
-    several c give the same x (a fixed point) any of them is right; the
-    least w_x is taken, which is 0 on the representatives themselves.
+    :func:`_su_core` takes the r (r + 1)/2 determinants of the pairs i <= j
+    of the r representatives, in batches of at most `_FILL_BLOCK` matrix
+    entries, and mirrors them.  E reads x only through its row role
+    (w_x, |l_i| mod N) and y only through its column role (w_y, |m_y| mod N),
+    so zeta^E is one (N^2, N^2) table of the two roles, and each row block
+    of at most `_FILL_BLOCK` entries is one gather from the representatives'
+    block times one from the table.  E is symmetric in x and y as an
+    integer mod 2N, because |m_y| - |m_j| = kappa w_y and |l_x| - |l_i| =
+    kappa w_x (mod N), so S is exactly symmetric.  Where several c give the
+    same x (a fixed point) any of them is right; the least w_x is taken,
+    which is 0 on the representatives themselves.
     Desk scale only: N <= 6, k <= 8.
     """
     if not (2 <= N <= _SU_MAX_N):
         raise ScaleLimit(f"N={N} outside supported range 2..{_SU_MAX_N}")
     if not (0 <= k <= _SU_MAX_K):
         raise ScaleLimit(f"level {k} outside supported range 0..{_SU_MAX_K}")
-    labels = su_level_labels(N, k)
-    n = len(labels)
+    X = _su_weight_vectors(N, k)
+    n = len(X)
     kappa = k + N
-    X = _su_weight_vectors(N, labels)
     sums = X.sum(axis=1)
     where, orbit = _su_orbits(X, kappa)
     rep = orbit.min(axis=1)
@@ -194,49 +211,31 @@ def su_modular_data(N, k, tol=DEFAULT_TOL):
     w = np.empty(n, dtype=np.int64)
     for t in range(N):  # a later column has the smaller w: the least wins, 0 on the representatives
         w[orbit[reps, t]] = N - 1 - t
-
-    res = np.arange(kappa)
-    phase = _roots_of_unity(kappa, -1)[np.outer(res, res) % kappa]  # phase[l, m] = e^{-2 pi i l m/kappa}
-    Xr = X[reps]
-    core = np.empty((len(reps), len(reps)), dtype=complex)
-    # row a of the representatives' upper triangle, det[phase[l_a, m_b]] for b >= a, then mirrored
-    for a in range(len(reps)):
-        row = np.linalg.det(phase[Xr[a, None, :, None], Xr[a:, None, :]])
-        core[a, a:] = row
-        core[a:, a] = row
-    sr = sums[reps]
-    core *= _roots_of_unity(N * kappa, 1)[np.outer(sr, sr) % (N * kappa)]
-
-    zeta = _roots_of_unity(2 * N, 1)
-    sign = N * w * (N - w)  # the re-sorting sign (-1)^{w (N - w)} as a power of zeta
+    core = _su_core(X[reps], kappa)
+    ws, ss = np.divmod(np.arange(N * N), N)  # role t = N w + s
+    half = (N * ws * (N - ws))[:, None] + 2 * np.outer(ws, ss)  # re-sorting sign (-1)^{w (N - w)} and 2 w |m|
+    table = _roots_of_unity(2 * N, 1)[(half + half.T) % (2 * N)]  # zeta^E of the docstring, by row and column role
+    row_role = N * w + sums[rep] % N
+    col_role = N * w + sums % N
     at = np.searchsorted(reps, rep)  # row of core for each label's representative
     raw = np.empty((n, n), dtype=complex)
     step = max(1, _FILL_BLOCK // n)
     for x0 in range(0, n, step):
         xs = slice(x0, x0 + step)
-        E = np.multiply.outer(w[xs], 2 * sums)  # E of the docstring, row block xs
-        E += np.multiply.outer(2 * sums[rep[xs]], w)
-        E += sign[xs, None]
-        E += sign
-        E %= 2 * N
-        block = raw[xs]
-        block[...] = core[at[xs, None], at]
-        block *= zeta[E]
+        np.multiply(core[at[xs]].take(at, axis=1), table[row_role[xs]].take(col_role, axis=1), out=raw[xs])
     S = _normalize_s(raw)
 
-    # theta = e^{2 pi i r/m} with m = 2 N kappa and r = N <lambda, lambda + 2 rho>
-    # in the traceless projection, the integer N (|l|^2 - |rho|^2) -
-    # |lambda| (|lambda| + N (N - 1)) for l = lambda + rho, reduced to |r| <= m/2
-    # so the float angle is at most pi; the unit label comes first, so X[0] = rho.
-    # Not read from _roots_of_unity: its separately rounded cos and sin leave
-    # |theta| an ulp off 1 on some families where this route gives exactly 1
+    # theta = e^{2 pi i r/m}, m = 2 N kappa, r = N <lambda, lambda + 2 rho> in the traceless projection:
+    # the integer N (|l|^2 - |rho|^2) - |lambda| (|lambda| + N (N - 1)) with X[0] = rho, reduced to
+    # |r| <= m/2 so the float angle is at most pi.  Not read from _roots_of_unity: its separately
+    # rounded cos and sin leave |theta| an ulp off 1 on some families where this route gives exactly 1
     rho = X[0]
     size = sums - rho.sum()
     m = 2 * N * kappa
     r = (N * ((X * X).sum(axis=1) - rho @ rho) - size * (size + N * (N - 1))) % m
     phases = np.exp((2j * np.pi / m) * np.where(2 * r > m, r - m, r))
 
-    names = [young_label(lam) for lam in labels]
+    names = [young_label(lam) for lam in (X - rho).tolist()]
     theta = dict(zip(names, phases.tolist()))
     dual = where[(1 << (X[:, :1] - X)).sum(axis=1)].tolist()  # dual(l) = l_1 - reversed(l), as a bit set
     return ModularData(names, "0", {a: names[d] for a, d in zip(names, dual)}, S, theta, tol=tol)
@@ -418,21 +417,22 @@ def alcove_weights(ld):
     """Dominant weights with <lambda, theta_check> <= level.
 
     Sorted by that pairing value, then lexicographically by Dynkin labels.
+    The recursion runs in ints: comarks and level scaled by the lcm of the
+    comark denominators, which scales the pairing and keeps its order.
     """
-    comarks = ld.comarks
-    k = Fraction(ld.level)
+    scale = math.lcm(*(c.denominator for c in ld.comarks))
+    comarks = [int(c * scale) for c in ld.comarks]
     out = []
 
-    def extend(prefix, used):
+    def extend(prefix, room):
         if len(prefix) == ld.rank:
             out.append(tuple(prefix))
             return
         c = comarks[len(prefix)]
-        top = int((k - used) / c)
-        for a in range(top + 1):
-            extend(prefix + [a], used + a * c)
+        for a in range(room // c + 1):
+            extend(prefix + [a], room - a * c)
 
-    extend([], Fraction(0))
+    extend([], ld.level * scale)
     out.sort(key=lambda w: (sum(a * c for a, c in zip(w, comarks)), w))
     return out
 

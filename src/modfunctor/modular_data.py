@@ -134,9 +134,8 @@ class ModularData:
         n = len(labels)
         if S.shape != (n, n):
             raise InvalidModularData(f"S must be {n}x{n}, got {S.shape}")
-        bad = np.argwhere(~np.isfinite(S))
-        if len(bad):
-            a, b = bad[0]
+        if not np.isfinite(S).all():  # locate the bad entry only when there is one
+            a, b = np.argwhere(~np.isfinite(S))[0]
             raise InvalidModularData(f"S[{a}][{b}] is not finite: {S[a, b]}")
         theta = {str(a): complex(v) for a, v in dict(theta).items()}
         if set(theta) != set(labels):
@@ -466,12 +465,19 @@ def _charges(S, z, P):
 def _residuals(S, P, Psi):
     """Row blocks (x0, rows, residual) of (I): residual[a, e, r] = |S_{sigma_J(x), r} - psi_J(r) S_{xr}|.
 
-    x = x0 + e runs over the labels and J = P[a, z] over the currents, so
-    every entry of S is visited for every J; `rows` is S[x0 : x0 + len(rows)].
+    x = x0 + e runs over the labels and J = P[a, z] over the currents but
+    the unit, so every entry of S is visited for every such J; `rows` is
+    S[x0 : x0 + len(rows)].  The unit's residuals are exact zeros (sigma_0
+    is the identity and psi_0 = S_0r / S_0r = 1), so with G = {0} no block
+    is yielded.
     """
     g, n = P.shape
     # blocks of at most max(n^2, 2^12) entries over all currents, and at most `_BLOCK`
     step = max(1, min(_BLOCK, max(n * n, 1 << 12)) // (g * n))
+    moving = (P != np.arange(n)).any(axis=1)
+    P, Psi = P[moving], Psi[moving]
+    if not len(P):
+        return
     for x0 in range(0, n, step):
         rows = S[x0 : x0 + step]
         residual = S[P[:, x0 : x0 + step]]
@@ -872,7 +878,8 @@ def fs_indicators(data):
     dims = quantum_dims(data)
     th2 = np.array([data.theta[a] for a in data.labels]) ** 2
     row0 = S[data.index(data.zero), :]
-    vals = (S.conj() @ ((S @ (dims * th2)) * (S @ (dims / th2)) / row0)) / complex(np.sum(dims**2))
+    # conj(S) v as conj(S conj(v)), so no conjugated copy of S is made
+    vals = np.conj(S @ np.conj((S @ (dims * th2)) * (S @ (dims / th2)) / row0)) / complex(np.sum(dims**2))
     # worst case measured over the built-in families, lie D 4 1 and su
     # families up to su 5 6 (n = 210) is 9.8e-15; allow a small multiple of
     # tol for user data computed less carefully

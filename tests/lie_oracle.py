@@ -16,13 +16,20 @@ and :func:`lie_weyl_sum_oracle` are the element-at-a-time routes that
 ``LieData`` and ``simple_lie_modular_data`` replace with whole-group array
 steps: the breadth-first walk one product at a time, the highest root
 from the set of roots one root at a time, and the Weyl sum one element at
-a time.
+a time.  :func:`su_level_labels_oracle` and :func:`su_modular_data_oracle`
+are the special-unitary build that ``su_modular_data`` replaces with
+batched determinants, a table of phases by row and column role and labels
+read off one int64 array: tuple labels sorted by a Python key, one
+determinant call per representative row and an integer phase exponent
+filled in five n-column passes.  Both routes make the same floating-point
+operations on S, so it agrees bit for bit.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -87,6 +94,73 @@ def su_s_matrix_oracle(N, k):
     raw *= np.exp(2j * np.pi * np.outer(sums, sums) / (N * kappa))
     raw /= raw[0, 0] / abs(raw[0, 0])
     return raw / np.linalg.norm(raw[0])
+
+
+def su_level_labels_oracle(N, k):
+    """Row tuples of the level set, sorted by size then rows by a Python key."""
+    out = [tuple(r for r in rows if r) for rows in combinations_with_replacement(range(k, -1, -1), N - 1)]
+    out.sort(key=lambda rows: (sum(rows), rows))
+    return out
+
+
+def su_modular_data_oracle(N, k):
+    """``su_modular_data`` by one determinant call per representative row and an integer exponent fill.
+
+    Everything but the three steps named in the module docstring is the
+    library's, so S, theta, labels and dual must agree bit for bit.
+    """
+    labels = su_level_labels_oracle(N, k)
+    n = len(labels)
+    kappa = k + N
+    X = np.zeros((n, N), dtype=np.int64)
+    for a, lam in enumerate(labels):
+        X[a, : len(lam)] = lam
+    X += np.arange(N - 1, -1, -1, dtype=np.int64)
+    sums = X.sum(axis=1)
+    where, orbit = lie._su_orbits(X, kappa)
+    rep = orbit.min(axis=1)
+    reps = np.flatnonzero(rep == np.arange(n))
+    w = np.empty(n, dtype=np.int64)
+    for t in range(N):
+        w[orbit[reps, t]] = N - 1 - t
+
+    res = np.arange(kappa)
+    phase = lie._roots_of_unity(kappa, -1)[np.outer(res, res) % kappa]
+    Xr = X[reps]
+    core = np.empty((len(reps), len(reps)), dtype=complex)
+    for a in range(len(reps)):  # row a of the upper triangle, b >= a, mirrored
+        row = np.linalg.det(phase[Xr[a, None, :, None], Xr[a:, None, :]])
+        core[a, a:] = row
+        core[a:, a] = row
+    sr = sums[reps]
+    core *= lie._roots_of_unity(N * kappa, 1)[np.outer(sr, sr) % (N * kappa)]
+
+    zeta = lie._roots_of_unity(2 * N, 1)
+    sign = N * w * (N - w)
+    at = np.searchsorted(reps, rep)
+    raw = np.empty((n, n), dtype=complex)
+    step = max(1, lie._FILL_BLOCK // n)
+    for x0 in range(0, n, step):
+        xs = slice(x0, x0 + step)
+        E = np.multiply.outer(w[xs], 2 * sums)
+        E += np.multiply.outer(2 * sums[rep[xs]], w)
+        E += sign[xs, None]
+        E += sign
+        E %= 2 * N
+        block = raw[xs]
+        block[...] = core[at[xs, None], at]
+        block *= zeta[E]
+    S = lie._normalize_s(raw)
+
+    rho = X[0]
+    size = sums - rho.sum()
+    m = 2 * N * kappa
+    r = (N * ((X * X).sum(axis=1) - rho @ rho) - size * (size + N * (N - 1))) % m
+    phases = np.exp((2j * np.pi / m) * np.where(2 * r > m, r - m, r))
+    names = [mf.young_label(lam) for lam in labels]
+    theta = dict(zip(names, phases.tolist()))
+    dual = where[(1 << (X[:, :1] - X)).sum(axis=1)].tolist()
+    return mf.ModularData(names, "0", {a: names[d] for a, d in zip(names, dual)}, S, theta)
 
 
 def su_twist_oracle(N, k):

@@ -26,6 +26,8 @@ from lie_oracle import (
     lattice_fundamental_group,
     lie_weyl_sum_oracle,
     parse_young_label,
+    su_level_labels_oracle,
+    su_modular_data_oracle,
     su_mu_tilde,
     su_s_matrix_oracle,
     su_twist_oracle,
@@ -86,9 +88,34 @@ def test_su_twists_match_float_form(N, k):
 
 
 def _su_representatives(N, k):
-    labels = mf.su_level_labels(N, k)
-    _where, orbit = lie._su_orbits(lie._su_weight_vectors(N, labels), k + N)
-    return np.flatnonzero(orbit.min(axis=1) == np.arange(len(labels)))
+    _where, orbit = lie._su_orbits(lie._su_weight_vectors(N, k), k + N)
+    return np.flatnonzero(orbit.min(axis=1) == np.arange(len(orbit)))
+
+
+# every su family inside ScaleLimit: N = 2..6 at levels 0..8
+ALL_SU = tuple(itertools.product(range(2, 7), range(9)))
+
+
+def _assert_same_su_data(data, want):
+    assert np.array_equal(data.S.view(np.int64), want.S.view(np.int64))  # bit for bit, signed zeros too
+    assert data.labels == want.labels
+    assert data.dual == want.dual
+    theta, want_theta = (np.array([t[a] for a in want.labels]) for t in (data.theta, want.theta))
+    assert np.array_equal(theta.view(np.int64), want_theta.view(np.int64))
+
+
+@pytest.mark.parametrize("N, k", ALL_SU)
+def test_su_build_equals_the_row_by_row_oracle_bit_for_bit(N, k):
+    _assert_same_su_data(lie.su_modular_data(N, k), su_modular_data_oracle(N, k))
+    assert mf.su_level_labels(N, k) == su_level_labels_oracle(N, k)
+
+
+@pytest.mark.parametrize("N, k", [(2, 3), (3, 4), (6, 2), (5, 6)])
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_su_build_does_not_depend_on_the_block_size(monkeypatch, N, k, block):
+    want = lie.su_modular_data(N, k)
+    monkeypatch.setattr(lie, "_FILL_BLOCK", block)  # many determinant batches and one-row fill blocks
+    _assert_same_su_data(lie.su_modular_data(N, k), want)
 
 
 @pytest.mark.parametrize("N, k", ORBIT_SU)
@@ -112,12 +139,13 @@ def test_su_s_build_takes_one_determinant_per_representative_pair(monkeypatch, N
     monkeypatch.setattr(np.linalg, "det", counting_det)
     lie.su_modular_data(N, k)
     r = len(_su_representatives(N, k))
-    assert sum(taken) == r * (r + 1) // 2
+    assert sum(taken) == r * (r + 1) // 2  # summed over the batches
+    assert max(taken) * N * N <= lie._FILL_BLOCK  # no batch holds more than `_FILL_BLOCK` matrix entries
     assert r < len(mf.su_level_labels(N, k))
 
 
-@pytest.mark.parametrize("N, k", [(5, 6), (5, 8)])
-def test_su_s_build_peak_memory(N, k):
+@pytest.mark.parametrize("N, k, bound", [(5, 6, 2), (5, 8, 2), (6, 8, 1.15)])
+def test_su_s_build_peak_memory(N, k, bound):
     lie.su_modular_data(2, 1)  # first-call allocations of numpy and the label code
     tracemalloc.start()
     try:
@@ -127,7 +155,7 @@ def test_su_s_build_peak_memory(N, k):
         tracemalloc.stop()
     # S, handed over read-only and not copied, the representatives' block
     # and one row block of the fill
-    assert peak <= 2 * 16 * data.n**2
+    assert peak <= bound * 16 * data.n**2
 
 
 def test_su_labels_and_counts():

@@ -755,6 +755,27 @@ def test_current_layer_is_the_layer_the_fusion_tensor_keeps(tokens):
     assert np.array_equal(layer.rep, fusion.rep) and np.array_equal(layer.via, fusion.via)
 
 
+@pytest.mark.parametrize(
+    "tokens", [("su", 4, 4), ("su", 6, 3), ("lie", "D", 4, 2), ("lie", "G", 2, 1)], ids=lambda t: " ".join(map(str, t))
+)
+def test_residual_blocks_leave_out_the_unit_current(monkeypatch, tokens):
+    # sigma_0 is the identity and psi_0 = 1, so the unit's residuals of (I) are exact zeros
+    data = get_family(*tokens)
+    g = len(get_fusion(data).currents)
+    residuals, seen = mf.modular_data._residuals, []
+
+    def spy(S, P, Psi):
+        for x0, rows, residual in residuals(S, P, Psi):
+            seen.append(len(residual))
+            yield x0, rows, residual
+
+    monkeypatch.setattr(mf.modular_data, "_residuals", spy)
+    mf.current_layer(data)
+    mf.verlinde_fusion(data)
+    assert seen == [g - 1] * len(seen)
+    assert bool(seen) == (g > 1)  # with G = {0} no block runs
+
+
 def test_zero_unit_row_entry_is_refused_at_any_tolerance(su22):
     S = su22.S.copy()
     S[0, 1] = S[1, 0] = 0
