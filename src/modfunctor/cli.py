@@ -317,13 +317,13 @@ def _cmd_scaling(args, tol):
         nu = symplectic_multiplicity(data, sp, a)
         sign_checks.append(abs(scalar - (-1.0) ** nu) if args.mode == "canonical" else abs(abs(scalar) - 1.0))
     sign_check = max(sign_checks)
-    zvals = {lab: _pair(z_of_label(data, lab)) for lab in data.labels}
+    zvals = {lab: z_of_label(data, lab) for lab in data.labels}
     machine = {
         "family": meta["family"],
         "mode": args.mode,
         "u": {lab: _pair(sp.u[lab]) for lab in data.labels},
         "w": {lab: _pair(sp.w[lab]) for lab in data.labels},
-        "z": zvals,
+        "z": {lab: _pair(z) for lab, z in zvals.items()},
         "max_residual": residual,
         "max_pair_residual": pair_res,
         "max_sign_check": sign_check,
@@ -337,7 +337,7 @@ def _cmd_scaling(args, tol):
     for lab in data.labels:
         lines.append(
             f"  {lab:>10}  u={_fmt_complex(sp.u[lab])}  w={_fmt_complex(sp.w[lab])}"
-            f"  Z={_fmt_complex(z_of_label(data, lab))}"
+            f"  Z={_fmt_complex(zvals[lab])}"
         )
     ok = residual < 1e-9 and pair_res < 1e-9 and sign_check < 1e-9
     return (0 if ok else 1), Report(machine, "\n".join(lines))

@@ -111,14 +111,9 @@ def _s_text(S):
 
 def dumps_modular_data(data, metadata=None):
     """Canonical JSON text (sorted keys, indent 2, trailing newline)."""
-    # json.dumps escapes a newline inside a string, so every raw one starts a line
-    fields = {
-        key: json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
-        for key, value in _small_fields(data, metadata).items()
-    }
-    fields["S"] = _s_text(data.S)
-    body = ",\n".join(f"  {json.dumps(key)}: {fields[key]}" for key in sorted(fields))
-    return "{\n" + body + "\n}\n"
+    # "S" sorts before every lowercase key, so the small fields follow its block
+    rest = json.dumps(_small_fields(data, metadata), sort_keys=True, indent=2)
+    return '{\n  "S": ' + _s_text(data.S) + "," + rest[1:] + "\n"
 
 
 def _plain_row(row, n):

@@ -199,16 +199,18 @@ class FusionTensor:
 
     The simple-current layer that :func:`verlinde_fusion` certified is kept
     as it was found there: `currents`, `charges`, `rep` and `via` are those
-    of :class:`CurrentLayer`.  `slice_of(r)` is called only for a
+    of :class:`CurrentLayer`.  `slice_of(j)` builds the slice of any label
+    j in n^3 / |G|^2 work: the representatives' rows, moved to the rest of
+    their orbits as the handle's rows are.  `slice` calls it only for a
     representative r.  For a label j = sigma_J(r) whose representative r
     is another label, `slice(j)` is the column permutation
     N_j[:, sigma_J(y)] = N_r[:, y] of the cached `slice(r)`, and
     `column_max[j]` is `column_max[r]`.  On a tensor built by hand every
     label represents itself: `currents` and `charges` are empty and `via`
-    is None.  `deviation` is the fusion
-    deviation that :func:`verlinde_fusion` compared with its tolerance: the
-    largest measured deviation of a representative pair plus the derived
-    bounds for every other coefficient (None on a tensor built by hand).
+    is None.  `deviation` is the fusion deviation that
+    :func:`verlinde_fusion` compared with its tolerance: the largest
+    measured deviation of a representative pair plus the derived bounds
+    for every other coefficient (None on a tensor built by hand).
 
     Compared (and hashed) by identity: the tensor is derived data, so two
     instances built from the same category are interchangeable anyway.
@@ -251,18 +253,11 @@ class FusionTensor:
     def N(self):
         """The read-only dense (n, n, n) tensor, built on first access.
 
-        `slice_of` gives the representatives' slices, and the rest of each
-        orbit is permuted from them.  Cached on its own: it neither reads
-        nor fills the slice cache.
+        One `slice_of` call, n^3 / |G|^2 work, per label, stacked.  Cached
+        on its own: it neither reads nor fills the slice cache.
         """
         if self._N is None:
-            n = len(self.labels)
-            N = np.empty((n, n, n), dtype=np.int64)
-            for j, r in enumerate(self.rep.tolist()):
-                if r == j:
-                    N[:, j, :] = self._slice_of(j)
-                else:  # r < j is already in place
-                    N[:, j, self.currents[int(self.via[j])]] = N[:, r, :]
+            N = np.stack([self._slice_of(j) for j in range(len(self.labels))], axis=1)
             N.setflags(write=False)
             self._N = N
         return self._N
@@ -336,21 +331,23 @@ def validate_modular_data(data):
     return report
 
 
+def _unit_entry(data):
+    """(z, S_00), refused when |S_00| <= n u, :func:`_unit_row`'s bound for entries at most 1."""
+    z = data.index(data.zero)
+    if abs(data.S[z, z]) <= data.n * _UNIT_ROUNDOFF:
+        raise InvalidModularData("S_{00} vanishes; quantum dimensions undefined")
+    return z, data.S[z, z]
+
+
 def quantum_dims(data):
     """All quantum dimensions S_{0i}/S_{00} as a complex vector in label order."""
-    z = data.index(data.zero)
-    s00 = data.S[z, z]
-    if abs(s00) <= data.tol:
-        raise InvalidModularData("S_{00} vanishes; quantum dimensions undefined")
+    z, s00 = _unit_entry(data)
     return data.S[z, :] / s00
 
 
 def quantum_dim(data, i):
     """Quantum dimension of one label, S_{0i}/S_{00}."""
-    z = data.index(data.zero)
-    s00 = data.S[z, z]
-    if abs(s00) <= data.tol:
-        raise InvalidModularData("S_{00} vanishes; quantum dimensions undefined")
+    z, s00 = _unit_entry(data)
     return complex(data.S[z, data.index(i)] / s00)
 
 
@@ -737,13 +734,14 @@ def verlinde_fusion(data):
     each computed entry, which must lie within :func:`_integer_tolerance`
     of the magnitude of its terms; the failure reports the largest such sum.
 
-    Every check runs in blocks of at most `_BLOCK` entries (n^2 or fewer
-    while n <= 512) and keeps none of them: the returned :class:`FusionTensor`
-    computes a representative's slice when it is first read, as one folded
-    product, n^3 / |G| work, with its unbalanced entries masked to 0, and
-    permutes the columns of that cached slice for the rest of the orbit,
-    through the representatives and currents found here
-    (`FusionTensor.rep` and `FusionTensor.via`).
+    Every check runs in blocks of at most `_BLOCK` entries (n^2 or fewer while
+    n <= 512) and keeps none of them: the returned :class:`FusionTensor` fills
+    a slice when it is first read the way the handle is filled.  The
+    representatives' rows, one folded product of n^3 / |G|^2 work with the
+    unbalanced entries masked to 0, are moved to their orbits' rows by
+    N_{sigma_J(x), j}^{sigma_J(y)} = N_{xj}^y.  The other slices of an orbit
+    permute the columns of the cached slice of its representative
+    (`FusionTensor.rep`, `FusionTensor.via`).
     The handle check runs first, so its failure is the one raised; when nu
     leaves no room for the fusion bound, the handle check may pass and the
     fusion check then fails with an infinite deviation.
@@ -797,6 +795,7 @@ def verlinde_fusion(data):
     ).reshape(C, C)
     R = reps if len(reps) < n else slice(None)  # a basic slice when G = {0}, so that numpy takes views
     SR = S[:, R]
+    block = SR[R]  # the representatives' rows of SR, a view when G = {0}
     wr0 = row0[R] / size  # S_ir / wr0_r = |O_r| S_ir / S_0r
 
     # fusion: pairs i <= j of representatives, sorted by the class of i + j,
@@ -818,7 +817,6 @@ def verlinde_fusion(data):
         target = add[cls_r[a], cls_r[b]]
         order = target.argsort(kind="stable")
         a, b, target = a[order], b[order], target[order]
-        I, J = reps[a], reps[b]
         t0 = int(target.searchsorted(0))  # a class sum no label carries (-1): all 0, within `skip`
         while t0 < len(target):
             # a block holds pairs of one class and reads only that class's columns
@@ -826,15 +824,15 @@ def verlinde_fusion(data):
             t1 = min(t0 + rows_per, end)
             t1 -= t1 == end - 1 and t1 - t0 > 1  # no one-row tail: numpy takes it as a vector product
             lo, hi = starts[target[t0]], starts[target[t0] + 1]
-            rows = SR[J[t0:t1]]
-            rows *= SR[I[t0:t1]] / wr0
-            raw = rows @ columns[:, lo:hi]  # raw[e, k] = N_{I[t0+e], J[t0+e]}^{by_class[lo+k]}
+            rows = block[b[t0:t1]]
+            rows *= block[a[t0:t1]] / wr0
+            raw = rows @ columns[:, lo:hi]  # raw[e, k] = N_{reps[a[t0+e]], reps[b[t0+e]]}^{by_class[lo+k]}
             rounded = np.rint(raw.real)
             dev = max(dev, np.abs(raw - rounded).max())
             low = rounded.min()
             if low < lowest:
                 e, k = np.unravel_index(rounded.argmin(), rounded.shape)
-                lowest, where = int(low), (int(I[t0 + e]), int(J[t0 + e]), int(by_class[lo + k]))
+                lowest, where = int(low), (int(reps[a[t0 + e]]), int(reps[b[t0 + e]]), int(by_class[lo + k]))
             t0 = t1
 
     dev = float(dev + bound)
@@ -848,13 +846,13 @@ def verlinde_fusion(data):
         )
 
     layer = _layer(P, Q, z)  # the charges are finite now: the deviation check passed
-    balanced = add[cls].T  # balanced[c, x] = class x + class c
+    to_x, to_y, cls_y = P[:, reps, None], P[:, None, by_class], cls[by_class]  # sigma_J(x), sigma_J(y), class(y)
 
-    def slice_of(r):
-        M = np.rint(((SR * (S[r, R] / wr0)) @ columns).real)
-        M *= cls[by_class] == balanced[cls[r], :, None]  # keep the balanced entries, class(y) = class(x) + class(r)
+    def slice_of(j):
+        M = np.rint(((block * (S[j, R] / wr0)) @ columns).real)  # M[e, k] = N_{reps[e], j}^{by_class[k]}
+        M *= cls_y == add[cls[j], cls_r, None]  # class(y) = class(x) + class(j)
         out = np.empty((n, n), dtype=np.int64)
-        out[:, by_class] = M
+        out[to_x, to_y] = M  # N_{sigma_J(x), j}^{sigma_J(y)} = N_{xj}^y
         return out
 
     fusion = FusionTensor(data.labels, slice_of, handle)
@@ -882,8 +880,9 @@ def fs_indicators(data):
     vals = np.conj(S @ np.conj((S @ (dims * th2)) * (S @ (dims / th2)) / row0)) / complex(np.sum(dims**2))
     # worst case measured over the built-in families, lie D 4 1 and su
     # families up to su 5 6 (n = 210) is 9.8e-15; allow a small multiple of
-    # tol for user data computed less carefully
-    atol = max(data.tol, 1e-12) * 100
+    # tol for user data computed less carefully, capped below 1/2 as in
+    # _integer_tolerance so that only the nearest of -1, 0, +1 is accepted
+    atol = min(max(data.tol, 1e-12) * 100, 0.45)
     out = {}
     for ii, (i, val) in enumerate(zip(data.labels, vals)):
         val = complex(val)

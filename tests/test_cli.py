@@ -337,6 +337,30 @@ def test_loose_tolerance_does_not_call_a_unit_row_entry_zero(monkeypatch, family
     assert report.machine["state_dim"] == report.machine["state_dim_verlinde"] == torus
 
 
+@pytest.mark.parametrize(
+    "family", [("su", "2", "2"), ("su", "4", "3"), ("su", "4", "4"), ("su", "6", "3"), ("lie", "C", "3", "2")],
+    ids=" ".join,
+)
+def test_loose_tolerance_gives_the_default_outputs(monkeypatch, family):
+    # at MF_TOL=0.01 a window of 100 tol reached 0 from +-1 in fs_indicators, and
+    # at MF_TOL=0.1 S_00 (0.084 on su 4 3) was called zero by quantum_dims
+    def outputs():
+        out = {}
+        for argv in (["info"], ["characters"], ["scaling"], ["scaling", "--mode", "strict"]):
+            code, report = run_command([argv[0], *family, *argv[1:]])
+            machine = dict(report.machine)
+            machine.pop("tol", None)
+            out[" ".join(argv)] = (code, machine)
+        return out
+
+    monkeypatch.delenv("MF_TOL", raising=False)
+    want = outputs()
+    assert want["info"][0] == 0 and want["info"][1]["fs"]
+    for tol in ("0.01", "0.1"):
+        monkeypatch.setenv("MF_TOL", tol)
+        assert outputs() == want, tol
+
+
 def _export(tmp_path, family, tol=None):
     """Path of the exported document of `family`, with its metadata.tol set to `tol` if given."""
     code, report = run_command(["export", *family])

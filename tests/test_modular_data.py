@@ -377,6 +377,34 @@ def test_orbit_slices_permute_the_cached_representative(monkeypatch, tokens):
     assert sorted(built) == reps.tolist()
 
 
+@pytest.mark.parametrize("tokens", [("su", 4, 4), ("su", 5, 3)], ids=lambda t: " ".join(map(str, t)))
+def test_dense_stack_reads_no_orbit_data(tokens):
+    data = get_family(*tokens)
+    fusion = mf.verlinde_fusion(data)
+    assert len(fusion.currents) > 1
+    fusion.rep = np.zeros(data.n, dtype=np.int64)  # every label "represented" by the unit
+    fusion.via = np.full(data.n, -1)
+    fusion.currents = {}
+    assert np.array_equal(fusion.N, fusion_oracle(data))
+
+
+@pytest.mark.parametrize("tokens", [("su", 5, 8), ("su", 6, 6)], ids=lambda t: " ".join(map(str, t)))
+def test_representative_slice_peak_memory(tokens):
+    # the representatives' rows and the n x n int64 slice; a product over
+    # every row was an n x n complex temporary on top of the slice
+    data = get_family(*tokens)
+    fusion = mf.verlinde_fusion(data)
+    reps = np.flatnonzero(fusion.rep == np.arange(data.n))
+    fusion._slice_of(int(reps[0]))  # first-call allocations
+    tracemalloc.start()
+    try:
+        fusion._slice_of(int(reps[-1]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 8 * data.n**2
+
+
 def test_negative_coefficient_error_names_a_negative_triple(su32):
     # D S D with D = diag(+-1) keeps S symmetric, unitary and the Verlinde sums
     # integral, but negates N_ij^k whenever an odd number of i, j, k is flipped
