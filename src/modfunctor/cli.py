@@ -367,18 +367,17 @@ def _verify_family(data):
     # every identity reads the slices M[j] = N[:, j, :], never the n^3 stack
     M = [fusion.slice(j) for j in range(n)]
     eye = np.eye(n, dtype=np.int64)
-    checks["fusion-unit"] = all(np.array_equal(M[j][z], eye[j]) for j in range(n))
-    checks["fusion-duality"] = all(np.array_equal(M[j][:, z], dual == j) for j in range(n))
+    # N_{0j}^k = [j = k] and N_{ij}^0 = [j = dual(i)]: row j of each side is M_j[z], M_j[:, z]
+    checks["fusion-unit"] = bool((np.array([m[z] for m in M]) == eye).all())
+    checks["fusion-duality"] = bool((np.array([m[:, z] for m in M]) == eye[:, dual]).all())
     # M_j[i] = M_i[j], compared once per unordered pair i < j
     checks["fusion-commutative"] = all(
-        np.array_equal(M[j][:j], [m[j] for m in M[:j]]) for j in range(1, n)
+        (M[j][:j] == np.array([m[j] for m in M[:j]])).all() for j in range(1, n)
     )
     # N_{ij}^k = N_{i* k}^j read on slices as N_{xj}^y = N_{y j*}^x, that is
     # M_j = M_{j*}^T; the two statements agree once commutativity holds, and
     # M_j = M_{j*}^T says the same as M_{j*} = M_j^T, so one j per dual pair
-    checks["fusion-rigidity"] = all(
-        np.array_equal(M[j], M[dual[j]].T) for j in range(n) if dual[j] >= j
-    )
+    checks["fusion-rigidity"] = all((M[j] == M[dual[j]].T).all() for j in range(n) if dual[j] >= j)
     # the unit-point axiom dim(0; i, 0) = dim(0; i) = [i = 0]: the recursion
     # reads the two-point sphere as N_{i0}^0, the unit slice's column 0, and
     # the one-point sphere as e_i[0]

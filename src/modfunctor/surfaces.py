@@ -15,16 +15,20 @@ Valid data makes them agree exactly.  The recursion applies one fusion
 slice ``FusionTensor.slice(j)`` per point and ``FusionTensor.handle`` once
 per genus, so it never reads the dense tensor; H_{xy} is the dimension of
 the torus with points labeled x and dual(y).  It is exact at every genus:
-entries that could pass 2^62 are carried as Python ints.
+entries that could pass 2^62 are carried as Python ints.  The gluing
+identity (:func:`check_gluing_dimension`) sums its n fills x, dual(x) by
+linearity in the same integers: one chain per glued surface, not one per
+label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import prod
 
 import numpy as np
 
-from .modular_data import InvalidModularData, _integer_tolerance
+from .modular_data import InvalidModularData, _column_max, _integer_tolerance
 
 _INT64_SAFE = 2**62
 
@@ -216,43 +220,57 @@ def factorize(a, component, label, dual, mode="nonseparating", genus_split=None,
     return Surface(tuple(comps), a.weight)
 
 
+def _unit(n, i):
+    v = np.zeros(n, dtype=np.int64)
+    v[i] = 1
+    return v
+
+
+def _chain(v, steps, bound):
+    """The row v (or each row of v) times M, `power` times, for each (M, power) of `steps`.
+
+    In integers: int64 while `bound`, which the caller takes from the
+    largest entry of v and the largest column sums of the factors, bounds
+    every entry below 2^62; Python ints above.  A power stops at a fixed
+    point v M = v, exactly.
+    """
+    if bound >= _INT64_SAFE:
+        v = v.astype(object)
+    for M, power in steps:
+        for _ in range(power):
+            w = v @ M
+            # at v M = v every later step is the same (valid data: n = 1 or v = 0); one step skips none
+            if power > 1 and (w == v).all():
+                break
+            v = w
+    return v
+
+
 def _component_dim(data, fusion, genus, labels):
     """Invariant-space dimension of one component by the fusion recursion.
 
     Realizes dim(0; i) = [i = 0], dim(0; i, j) = [j = dual(i)],
     dim(0; i_1..i_n) = sum_x N_{i_1 i_2}^x dim(0; x, i_3..),
     dim(g; L) = sum_x dim(g-1; L + (x, dual x)), reassociated into a chain
-    of fusion slices (N_j)_{xy} = N_{xj}^y followed by powers of the
-    handle operator H = sum_j N_j N_{j*}, all in integers: int64 while the
-    product of the largest column sums bounds every entry below 2^62,
-    Python ints above.  The powers of H stop at a fixed point v H = v,
-    exactly; for valid data that is a one-label family (H = [[1]]) or
+    e_{i_1} N_{i_2} ... N_{i_n} H^g e_0 of fusion slices
+    (N_j)_{xy} = N_{xj}^y and the handle operator H = sum_j N_j N_{j*},
+    evaluated by :func:`_chain`.  The powers of H stop at a fixed point
+    v H = v; for valid data that is a one-label family (H = [[1]]) or
     v = 0, since for n > 1 every eigenvalue S_{0r}^{-2} of H exceeds 1 in
     modulus.
     """
     idx = [data.index(l) for l in labels]
     z = data.index(data.zero)
     bound = fusion.handle_column_max**genus
-    slices = []
+    steps = []
     for j in idx[1:]:
-        slices.append(fusion.slice(j))
+        steps.append((fusion.slice(j), 1))
         bound *= fusion.column_max[j]
-    if slices:  # e_{i_1} N_{i_2} is the row N_{i_1 i_2}^.
-        v = slices.pop(0)[idx[0]]
+    if steps:  # e_{i_1} N_{i_2} is the row N_{i_1 i_2}^.
+        v = steps.pop(0)[0][idx[0]]
     else:
-        v = np.zeros(data.n, dtype=np.int64)
-        v[idx[0] if idx else z] = 1
-    if bound >= _INT64_SAFE:
-        v = v.astype(object)
-    for M in slices:
-        v = v @ M
-    for _ in range(genus):
-        w = v @ fusion.handle
-        # at v H = v every later step is the same (valid data: n = 1 or v = 0); one step skips none
-        if genus > 1 and (w == v).all():
-            break
-        v = w
-    return int(v[z])
+        v = _unit(data.n, idx[0] if idx else z)
+    return int(_chain(v, steps + [(fusion.handle, genus)], bound)[z])
 
 
 def state_dim(data, fusion, a):
@@ -299,25 +317,73 @@ def check_gluing_dimension(data, fusion, a, p, q):
 
     The points `p`, `q` are slots: for every label x the surface with
     p -> x, q -> dual(x) contributes, and the identity says the sum equals
-    the dimension of the glued surface (which is independent of x).  The
-    slots are located once and the other components' dimensions taken
-    once; each x only substitutes its labels and reruns the recursion of
-    the one or two components that hold the slots.
+    the dimension of the glued surface (which is independent of x).
+
+    The n fills are summed by linearity, not by one recursion each: a
+    component's chain e_{l_1} N_{l_2} ... N_{l_m} H^g e_0 is linear in its
+    start row and in each slice, so what holds no slot is evaluated once
+    and a fill costs only the products that involve x.  Slots at s < t on
+    one component: the fills sum to one row w = sum_x (u N_x) P N_{x*},
+    u the chain before s and P the slices between, and the chain after t
+    runs once from w; if s is the first point the rows u N_x are the e_x,
+    and if t is the second, w is the sum of the rows N_{x x*}^.  Slots on
+    two components: each side's fills form a vector d[x] = u N_x c, with
+    the chain c after the slot taken as a column (bounded by row sums),
+    and the sum is sum_x d_p[x] d_q[x*].  The glued side is the component
+    :func:`glue_points` makes, its points in that order.  Integer sums are
+    exact, so the result is that of the n relabelled surfaces, on any
+    tensor.
     """
+    if p == q:
+        raise InvalidModularData("cannot glue a point to itself")
     (ci, pi), (cj, pj) = a.locate(p), a.locate(q)
-    labels = [[pt.label for pt in c.points] for c in a.components]
+    n, z = data.n, data.index(data.zero)
+    comps = a.components
     rest = 1
-    for c, comp in enumerate(a.components):
+    for c, comp in enumerate(comps):
         if c not in (ci, cj):
-            rest *= _component_dim(data, fusion, comp.genus, labels[c])
-    total = 0
-    for x in data.labels:
-        labels[ci][pi] = x
-        labels[cj][pj] = data.dual[x]
-        dim = _component_dim(data, fusion, a.components[ci].genus, labels[ci])
-        if cj != ci:
-            dim *= _component_dim(data, fusion, a.components[cj].genus, labels[cj])
-        total += dim
-    anyfill = a.relabel(p, data.zero).relabel(q, data.zero)
-    glued = glue_points(anyfill, p, q, data.dual)
-    return total * rest == state_dim(data, fusion, glued)
+            rest *= _component_dim(data, fusion, comp.genus, [pt.label for pt in comp.points])
+    held = sorted({ci, cj})  # glue_points keeps the earlier component's points first
+    slots = ((ci, pi), (cj, pj))
+    glued = [pt.label for c in held for k, pt in enumerate(comps[c].points) if (c, k) not in slots]
+    glued_dim = _component_dim(data, fusion, sum(comps[c].genus for c in held) + (ci == cj), glued)
+
+    def steps(js):
+        return [(fusion.slice(j), 1) for j in js]
+
+    dual = [data.dual_index(x) for x in range(n)]
+    idx = {c: [data.index(pt.label) for pt in comps[c].points] for c in held}
+    if ci == cj:
+        L, g = idx[ci], comps[ci].genus
+        s, t = sorted((pi, pj))
+        fills = [(x, y) if pi < pj else (y, x) for x, y in enumerate(dual)]  # the labels at s and t
+        N = [fusion.slice(x) for x in range(n)]
+        bound = n * max(fusion.column_max.values()) ** 2 * fusion.handle_column_max**g
+        bound *= prod(fusion.column_max[j] for j in L[1:s] + L[s + 1 : t] + L[t + 1 :])
+        if t == 1:  # e_x N_y is the row N_{xy}^.
+            w = sum(N[y][x] for x, y in fills)
+        else:
+            if s:
+                u = _chain(_unit(n, L[0]), steps(L[1:s]), bound)
+                R = np.array([u @ M for M in N])
+            else:
+                R = np.eye(n, dtype=np.int64)
+            R = _chain(R, steps(L[s + 1 : t]), bound)
+            w = sum(R[x] @ N[y] for x, y in fills)
+        total = int(_chain(w, steps(L[t + 1 :]) + [(fusion.handle, g)], bound)[z])
+    else:
+        # a column chain M_1 ... M_k H^g e_0 is the row e_0 (H^T)^g M_k^T ... M_1^T
+        Ht = fusion.handle.T
+        d = []
+        for c, s in slots:
+            L, g = idx[c], comps[c].genus
+            after = [(Ht, g)] + [(fusion.slice(j).T, 1) for j in reversed(L[s + 1 :])]
+            bound = _column_max(Ht) ** g * prod(_column_max(M) for M, _ in after[1:])
+            if s:
+                N = [fusion.slice(x) for x in range(n)]
+                bound *= n * max(fusion.column_max.values()) * prod(fusion.column_max[j] for j in L[1:s])
+                u = _chain(_unit(n, L[0]), steps(L[1:s]), bound)
+            col = _chain(_unit(n, z), after, bound)
+            d.append([u @ M @ col for M in N] if s else col)
+        total = sum(int(d[0][x]) * int(d[1][y]) for x, y in enumerate(dual))
+    return total * rest == glued_dim * rest

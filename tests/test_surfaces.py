@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import modfunctor as mf
+from modfunctor import cli, surfaces
 from modfunctor.cli import run_command
 from modfunctor.surfaces import Component, MarkedPoint, Surface
 from conftest import get_family, get_fusion
@@ -249,19 +250,46 @@ def _gluing_cases(data):
     return [(one, "x", "y"), (two, "x", "y"), (two, "y", "x")]
 
 
-@pytest.mark.parametrize("tokens", [("su", 2, 2), ("su", 3, 2), ("lie", "B", 2, 1)], ids=lambda t: " ".join(map(str, t)))
+def _gluing_layouts(data):
+    """Slot layouts that _gluing_cases lacks: x, y first and adjacent (as verify places them),
+    apart with points between, y before x, a slot last, genus 0 and 3, and two components
+    where neither slot is first."""
+    pt = MarkedPoint
+    fixed = {k: data.labels[(1 + 3 * s) % data.n] for s, k in enumerate("abc")}
+
+    def comp(genus, ids):
+        return Component(genus, tuple(pt(k, fixed.get(k, data.zero)) for k in ids))
+
+    one = [comp(1, "xyab"), comp(0, "xabyc"), comp(1, "axbyc"), comp(2, "yaxb"), comp(3, "abxy")]
+    two = [(comp(0, "axb"), comp(1, "cy")), (comp(2, "ay"), comp(0, "bxc"))]
+    return [(Surface((c,)), "x", "y") for c in one] + [(Surface(cs), "x", "y") for cs in two]
+
+
+@pytest.mark.parametrize(
+    "tokens", [("su", 2, 2), ("su", 3, 2), ("lie", "B", 2, 1), ("su", 4, 3)], ids=lambda t: " ".join(map(str, t))
+)
 def test_check_gluing_dimension_matches_relabel_oracle(tokens):
     data = get_family(*tokens)
     fusion = get_fusion(data)
-    broken = np.array(fusion.N)
-    broken[0, 1, 1] += 1
-    fake = mf.FusionTensor(data.labels, lambda j: broken[:, j, :], fusion.handle)
-    for a, p, q in _gluing_cases(data):
-        for f in (fusion, fake):
-            assert mf.check_gluing_dimension(data, f, a, p, q) == gluing_oracle(data, f, a, p, q)
+    fakes = []
+    # one structure constant or handle entry raised by one, indices taken mod n
+    for where in [(0, 1, 1), (1, 2, 3), (1, 4, 0), (0, 0)]:
+        broken, handle = np.array(fusion.N), np.array(fusion.handle)
+        (broken if len(where) == 3 else handle)[tuple(w % data.n for w in where)] += 1
+        fakes.append(mf.FusionTensor(data.labels, lambda j, broken=broken: broken[:, j, :], handle))
+    refuted = set()  # whether the slots share a component, for each layout the oracle refutes
+    for a, p, q in _gluing_cases(data) + _gluing_layouts(data):
         assert mf.check_gluing_dimension(data, fusion, a, p, q)
+        for f in fakes:
+            want = gluing_oracle(data, f, a, p, q)
+            assert mf.check_gluing_dimension(data, f, a, p, q) == want
+            if not want:
+                refuted.add(a.locate(p)[0] == a.locate(q)[0])
+    # the corruptions break the identity with the slots on one component and on two,
+    # so the comparison constrains both ways of summing the fills
+    assert refuted == {True, False}
     a = mf.sphere_with_labels([data.zero, data.labels[1], data.zero, data.labels[1]])
-    assert mf.check_gluing_dimension(data, fake, a, "p0", "p2") == gluing_oracle(data, fake, a, "p0", "p2")
+    assert mf.check_gluing_dimension(data, fakes[0], a, "p0", "p2") == gluing_oracle(data, fakes[0], a, "p0", "p2")
 
 
 def exact_dim_oracle(data, fusion, genus, labels):
@@ -306,6 +334,49 @@ def test_state_dim_exact_at_high_genus(tokens, genus, labels, want):
     assert type(got) is int
     if want is not None:
         assert got == want
+
+
+def _spy_chain(monkeypatch):
+    """Record every array that surfaces._chain returns."""
+    seen = []
+    real = surfaces._chain
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(surfaces, "_chain", spy)
+    return seen
+
+
+def test_gluing_sums_fills_in_python_ints_past_int64(monkeypatch):
+    data = get_family("su", 3, 3)
+    fusion = get_fusion(data)
+    ab = [data.labels[1], data.dual[data.labels[1]]]
+    pts = tuple(map(MarkedPoint, "xyab", [data.zero, data.zero, *ab]))
+    seen = _spy_chain(monkeypatch)
+    assert mf.check_gluing_dimension(data, fusion, Surface((Component(15, pts),)), "x", "y")
+    # the glued surface's chain, then the one chain that runs from the summed fills
+    glued, fills = (v[data.index(data.zero)] for v in seen)
+    assert all(v.dtype == object for v in seen)
+    want = exact_dim_oracle(data, fusion, 16, ab)
+    assert fills == sum(exact_dim_oracle(data, fusion, 15, [x, data.dual[x], *ab]) for x in data.labels)
+    assert glued == fills == want > 2**63
+
+
+def test_gluing_chain_count_does_not_grow_with_labels(monkeypatch):
+    seen = _spy_chain(monkeypatch)
+    counts = []
+    for tokens in [("su", 3, 2), ("su", 4, 4)]:  # n = 6 and n = 35
+        data = get_family(*tokens)
+        fusion = get_fusion(data)
+        seen.clear()
+        for t in range(4):  # verify's four surfaces: slots x, y, then two labels, on a torus
+            labels = (data.zero, data.zero, *cli._stride_labels(data, t, 2))
+            a = Surface((Component(1, tuple(map(MarkedPoint, "xyab", labels))),))
+            assert mf.check_gluing_dimension(data, fusion, a, "x", "y")
+        counts.append(len(seen))
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("tokens", [("su", "2", "0"), ("lie", "G", "2", "0")], ids=" ".join)
