@@ -127,8 +127,9 @@ def _fmt_complex(z):
 
 
 def _stride_labels(data, t, size):
-    """Labels of the t-th test surface: its s-th point is label (1 + 3s + 5t) mod n."""
-    return [data.labels[(1 + 3 * s + 5 * t) % data.n] for s in range(size)]
+    """Labels of the t-th test surface: its s-th point is label (1 + 3s + pt) mod n."""
+    p = next(p for p in range(5, 5 + data.n) if math.gcd(p, data.n) == 1)  # the least p >= 5 prime to n
+    return [data.labels[(1 + 3 * s + p * t) % data.n] for s in range(size)]
 
 
 def _family_args(parser):

@@ -59,7 +59,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 _BLOCK = 1 << 18  # entries per row block of every check in verlinde_fusion
-_PAIR_CHUNK = 1 << 12  # pairs of representatives whose indices verlinde_fusion holds at once
 # loose on purpose: a candidate that is not invertible costs only one key match
 _INVERTIBLE_DIM_TOL = 1e-3
 _KEY_TOL = 1e-8  # largest key mismatch of a simple current, relative to the largest key
@@ -808,32 +807,29 @@ def verlinde_fusion(data):
     cls_r = cls[reps]
     nr = len(reps)
     rows_per = max(1, min(n, _BLOCK // max(nr, *(b - a for a, b in zip(starts, starts[1:])))))
-    span = max(1, _PAIR_CHUNK // nr)  # triangle rows per chunk of pairs
+    a, b = (np.arange(nr)[:, None] <= np.arange(nr)).nonzero()
+    target = add[cls_r[a], cls_r[b]]
+    order = target.argsort(kind="stable")
+    a, b, target = a[order], b[order], target[order]
     dev = 0.0
     lowest, where = 0, None
-    for i0 in range(0, nr, span):
-        a, b = (np.arange(i0, min(i0 + span, nr))[:, None] <= np.arange(nr)).nonzero()
-        a += i0
-        target = add[cls_r[a], cls_r[b]]
-        order = target.argsort(kind="stable")
-        a, b, target = a[order], b[order], target[order]
-        t0 = int(target.searchsorted(0))  # a class sum no label carries (-1): all 0, within `skip`
-        while t0 < len(target):
-            # a block holds pairs of one class and reads only that class's columns
-            end = int(target.searchsorted(target[t0], "right"))
-            t1 = min(t0 + rows_per, end)
-            t1 -= t1 == end - 1 and t1 - t0 > 1  # no one-row tail: numpy takes it as a vector product
-            lo, hi = starts[target[t0]], starts[target[t0] + 1]
-            rows = block[b[t0:t1]]
-            rows *= block[a[t0:t1]] / wr0
-            raw = rows @ columns[:, lo:hi]  # raw[e, k] = N_{reps[a[t0+e]], reps[b[t0+e]]}^{by_class[lo+k]}
-            rounded = np.rint(raw.real)
-            dev = max(dev, np.abs(raw - rounded).max())
-            low = rounded.min()
-            if low < lowest:
-                e, k = np.unravel_index(rounded.argmin(), rounded.shape)
-                lowest, where = int(low), (int(reps[a[t0 + e]]), int(reps[b[t0 + e]]), int(by_class[lo + k]))
-            t0 = t1
+    t0 = int(target.searchsorted(0))  # a class sum no label carries (-1): all 0, within `skip`
+    while t0 < len(target):
+        # a block holds pairs of one class and reads only that class's columns
+        end = int(target.searchsorted(target[t0], "right"))
+        t1 = min(t0 + rows_per, end)
+        t1 -= t1 == end - 1 and t1 - t0 > 1  # no one-row tail: numpy takes it as a vector product
+        lo, hi = starts[target[t0]], starts[target[t0] + 1]
+        rows = block[b[t0:t1]]
+        rows *= block[a[t0:t1]] / wr0
+        raw = rows @ columns[:, lo:hi]  # raw[e, k] = N_{reps[a[t0+e]], reps[b[t0+e]]}^{by_class[lo+k]}
+        rounded = np.rint(raw.real)
+        dev = max(dev, np.abs(raw - rounded).max())
+        low = rounded.min()
+        if low < lowest:
+            e, k = np.unravel_index(rounded.argmin(), rounded.shape)
+            lowest, where = int(low), (int(reps[a[t0 + e]]), int(reps[b[t0 + e]]), int(by_class[lo + k]))
+        t0 = t1
 
     dev = float(dev + bound)
     if dev > tol:

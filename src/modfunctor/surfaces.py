@@ -17,8 +17,9 @@ per genus, so it never reads the dense tensor; H_{xy} is the dimension of
 the torus with points labeled x and dual(y).  It is exact at every genus:
 entries that could pass 2^62 are carried as Python ints.  The gluing
 identity (:func:`check_gluing_dimension`) sums its n fills x, dual(x) by
-linearity in the same integers: one chain per glued surface, not one per
-label.
+linearity in the same integers: a slot's fills are the rows of one
+matrix.  Every integer product here is a row, or a stack of rows, times
+a cached slice or the handle, inside :func:`_chain`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from math import prod
 
 import numpy as np
 
-from .modular_data import InvalidModularData, _column_max, _integer_tolerance
+from .modular_data import InvalidModularData, _integer_tolerance
 
 _INT64_SAFE = 2**62
 
@@ -321,15 +322,15 @@ def check_gluing_dimension(data, fusion, a, p, q):
 
     The n fills are summed by linearity, not by one recursion each: a
     component's chain e_{l_1} N_{l_2} ... N_{l_m} H^g e_0 is linear in its
-    start row and in each slice, so what holds no slot is evaluated once
-    and a fill costs only the products that involve x.  Slots at s < t on
-    one component: the fills sum to one row w = sum_x (u N_x) P N_{x*},
-    u the chain before s and P the slices between, and the chain after t
-    runs once from w; if s is the first point the rows u N_x are the e_x,
-    and if t is the second, w is the sum of the rows N_{x x*}^.  Slots on
-    two components: each side's fills form a vector d[x] = u N_x c, with
-    the chain c after the slot taken as a column (bounded by row sums),
-    and the sum is sum_x d_p[x] d_q[x*].  The glued side is the component
+    start row and in each slice, so what holds no slot is evaluated once.
+    A slot's fills are the rows of one matrix, row x the chain up to the
+    slot with x there (the identity's when the slot is the first point),
+    and every later factor multiplies all rows at once.  Slots at s < t on
+    one component: the rows sum to one row w = sum_x R_x N_{x*} at t, and
+    the rest of the chain runs once from w; if s and t are the first two
+    points, w is the sum of the rows N_{x x*}^.  Slots on two components:
+    each side's rows run to its end and are read at e_0, d[x], and the sum
+    is sum_x d_p[x] d_q[x*].  The glued side is the component
     :func:`glue_points` makes, its points in that order.  Integer sums are
     exact, so the result is that of the n relabelled surfaces, on any
     tensor.
@@ -346,44 +347,39 @@ def check_gluing_dimension(data, fusion, a, p, q):
     held = sorted({ci, cj})  # glue_points keeps the earlier component's points first
     slots = ((ci, pi), (cj, pj))
     glued = [pt.label for c in held for k, pt in enumerate(comps[c].points) if (c, k) not in slots]
-    glued_dim = _component_dim(data, fusion, sum(comps[c].genus for c in held) + (ci == cj), glued)
+    genus = sum(comps[c].genus for c in held)
+    glued_dim = _component_dim(data, fusion, genus + (ci == cj), glued)
 
     def steps(js):
         return [(fusion.slice(j), 1) for j in js]
 
+    N = [fusion.slice(x) for x in range(n)]
     dual = [data.dual_index(x) for x in range(n)]
     idx = {c: [data.index(pt.label) for pt in comps[c].points] for c in held}
+    # one bound for every layout: n rows summed, two slot slices, the handle per genus,
+    # and every other point past a component's first
+    others = [j for c in held for k, j in enumerate(idx[c]) if k and (c, k) not in slots]
+    bound = n * max(fusion.column_max.values()) ** 2 * fusion.handle_column_max**genus
+    bound *= prod(fusion.column_max[j] for j in others)
+
+    def rows(L, s):  # row x: e_{L_0} N_{L_1} ... N_{L_{s-1}} N_x
+        if not s:
+            return np.eye(n, dtype=np.int64)
+        u = _chain(_unit(n, L[0]), steps(L[1:s]), bound)
+        return np.array([_chain(u, [(M, 1)], bound) for M in N])
+
     if ci == cj:
-        L, g = idx[ci], comps[ci].genus
+        L = idx[ci]
         s, t = sorted((pi, pj))
         fills = [(x, y) if pi < pj else (y, x) for x, y in enumerate(dual)]  # the labels at s and t
-        N = [fusion.slice(x) for x in range(n)]
-        bound = n * max(fusion.column_max.values()) ** 2 * fusion.handle_column_max**g
-        bound *= prod(fusion.column_max[j] for j in L[1:s] + L[s + 1 : t] + L[t + 1 :])
         if t == 1:  # e_x N_y is the row N_{xy}^.
             w = sum(N[y][x] for x, y in fills)
         else:
-            if s:
-                u = _chain(_unit(n, L[0]), steps(L[1:s]), bound)
-                R = np.array([u @ M for M in N])
-            else:
-                R = np.eye(n, dtype=np.int64)
-            R = _chain(R, steps(L[s + 1 : t]), bound)
-            w = sum(R[x] @ N[y] for x, y in fills)
-        total = int(_chain(w, steps(L[t + 1 :]) + [(fusion.handle, g)], bound)[z])
+            R = _chain(rows(L, s), steps(L[s + 1 : t]), bound)
+            w = sum(_chain(R[x], [(N[y], 1)], bound) for x, y in fills)
+        total = int(_chain(w, steps(L[t + 1 :]) + [(fusion.handle, genus)], bound)[z])
     else:
-        # a column chain M_1 ... M_k H^g e_0 is the row e_0 (H^T)^g M_k^T ... M_1^T
-        Ht = fusion.handle.T
-        d = []
-        for c, s in slots:
-            L, g = idx[c], comps[c].genus
-            after = [(Ht, g)] + [(fusion.slice(j).T, 1) for j in reversed(L[s + 1 :])]
-            bound = _column_max(Ht) ** g * prod(_column_max(M) for M, _ in after[1:])
-            if s:
-                N = [fusion.slice(x) for x in range(n)]
-                bound *= n * max(fusion.column_max.values()) * prod(fusion.column_max[j] for j in L[1:s])
-                u = _chain(_unit(n, L[0]), steps(L[1:s]), bound)
-            col = _chain(_unit(n, z), after, bound)
-            d.append([u @ M @ col for M in N] if s else col)
-        total = sum(int(d[0][x]) * int(d[1][y]) for x, y in enumerate(dual))
+        ends = [steps(idx[c][s + 1 :]) + [(fusion.handle, comps[c].genus)] for c, s in slots]
+        dp, dq = (_chain(rows(idx[c], s), end, bound)[:, z] for (c, s), end in zip(slots, ends))
+        total = sum(int(dp[x]) * int(dq[y]) for x, y in enumerate(dual))
     return total * rest == glued_dim * rest

@@ -183,6 +183,15 @@ def test_verify_command():
     assert code == 2
 
 
+@pytest.mark.parametrize("tokens", builtin_tokens(), ids=lambda t: " ".join(map(str, t)))
+def test_fixed_surfaces_are_distinct(tokens):
+    # verify's four gluing surfaces and scaling's eight sign-check spheres
+    data = get_family(*tokens)
+    pairs = {tuple(cli._stride_labels(data, t, 2)) for t in range(4)}
+    triples = {tuple(cli._stride_labels(data, t, 3)) for t in range(8)}
+    assert (len(pairs), len(triples)) == (min(4, data.n), min(8, data.n))
+
+
 def test_verify_refuses_slices_beyond_its_memory_budget(monkeypatch):
     # su 6 8 (n = 1287) is inside ScaleLimit, but its dense slices would need 17 GB
     code, report = run_command(["verify", "su", "6", "8"])

@@ -379,6 +379,47 @@ def test_gluing_chain_count_does_not_grow_with_labels(monkeypatch):
     assert counts[0] == counts[1]
 
 
+
+def test_gluing_two_components_in_python_ints_past_int64(monkeypatch):
+    data = get_family("su", 3, 3)
+    fusion = get_fusion(data)
+    z = data.index(data.zero)
+    want = exact_dim_oracle(data, fusion, 16, [])
+    assert want == 663221760397547940009046 > 2**63
+    seen = _spy_chain(monkeypatch)
+    for gx, gy in [(15, 1), (8, 8)]:
+        a = Surface((Component(gx, (MarkedPoint("x", data.zero),)), Component(gy, (MarkedPoint("y", data.zero),))))
+        seen.clear()
+        assert mf.check_gluing_dimension(data, fusion, a, "x", "y")
+        # the glued surface's chain, then each side's rows, one per fill
+        glued, rows_x, rows_y = seen
+        assert all(v.dtype == object for v in seen)
+        fills = sum(rows_x[x, z] * rows_y[data.dual_index(x), z] for x in range(data.n))
+        oracle = sum(
+            exact_dim_oracle(data, fusion, gx, [x]) * exact_dim_oracle(data, fusion, gy, [data.dual[x]])
+            for x in data.labels
+        )
+        assert glued[z] == fills == oracle == want
+
+
+def test_gluing_multiplies_only_by_cached_slices_and_the_handle(monkeypatch):
+    data = get_family("su", 3, 2)
+    fusion = get_fusion(data)
+    cached = [fusion.slice(j) for j in range(data.n)] + [fusion.handle]
+    factors = []
+    real = surfaces._chain
+
+    def spy(v, steps, bound):
+        factors.extend(M for M, _power in steps)
+        return real(v, steps, bound)
+
+    monkeypatch.setattr(surfaces, "_chain", spy)
+    for a, p, q in _gluing_cases(data) + _gluing_layouts(data):
+        assert mf.check_gluing_dimension(data, fusion, a, p, q)
+    # every product runs one way, a row or a stack of rows times a cached factor
+    assert factors and all(any(M is c for c in cached) for M in factors)
+
+
 @pytest.mark.parametrize("tokens", [("su", "2", "0"), ("lie", "G", "2", "0")], ids=" ".join)
 def test_one_label_family_stops_after_one_handle_step(tokens):
     # H = [[1]], so v H = v after the first step and the recursion returns
